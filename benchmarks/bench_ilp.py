@@ -1,16 +1,16 @@
 """Solver ablation: the Gurobi-substitution check (DESIGN.md A3).
 
-All exact paths (HiGHS, our branch-and-bound, the MIS reduction) must
-agree on the optimum over the benchmark FF graphs; the greedy heuristic is
-never better.  pytest-benchmark records per-backend solve time.
+The MIS reduction (the flow's solver) and HiGHS (the reference) must
+agree on the optimum over the benchmark FF graphs; the greedy heuristic
+is never better.  pytest-benchmark records per-backend solve time.
 
 Also runnable standalone as the CPU-scale benchmark::
 
     PYTHONPATH=src python benchmarks/bench_ilp.py --registers 50000
 
-which times monolithic HiGHS against the decomposed portfolio (cold and
-warm-started) and the LP-rounding heuristic on one fuzzed FF graph, and
-writes ``BENCH_ilp.json`` at the repo root for the CI perf gate.
+which times the whole-graph MIS solve against monolithic HiGHS on one
+fuzzed FF graph and writes ``BENCH_ilp.json`` at the repo root for the
+CI perf gate.
 """
 
 from __future__ import annotations
@@ -21,16 +21,9 @@ from time import perf_counter
 import pytest
 
 from conftest import emit, run_once, write_bench_json
-from repro.circuits import build, names
-from repro.convert.phase_ilp import (
-    solve_greedy,
-    solve_heuristic,
-    solve_ilp,
-    solve_portfolio,
-    solve_via_mis,
-)
+from repro.circuits import build
+from repro.convert.phase_ilp import solve_greedy, solve_ilp, solve_via_mis
 from repro.ilp.fuzz import random_ff_graph
-from repro.ilp.warmstart import WarmCache
 from repro.library import FDSOI28
 from repro.netlist.traversal import ff_fanout_map
 from repro.synth import synthesize
@@ -49,22 +42,17 @@ def graphs():
     return out
 
 
-@pytest.mark.parametrize("backend", ["mis", "scipy", "bb", "greedy"])
+@pytest.mark.parametrize("backend", ["mis", "scipy", "greedy"])
 def test_solver_backend(benchmark, backend, graphs, out_dir):
     solvers = {
         "mis": solve_via_mis,
-        "scipy": lambda g: solve_ilp(g, backend="scipy"),
-        "bb": lambda g: solve_ilp(g, backend="bb", time_limit=60.0),
+        "scipy": solve_ilp,
         "greedy": solve_greedy,
     }
     solve = solvers[backend]
-    # Our didactic branch-and-bound is exact but orders of magnitude slower
-    # than HiGHS/MIS; give it only the smaller graphs.
-    subset = (["s1488", "s1196", "s5378", "des3"] if backend == "bb"
-              else list(graphs))
 
     def run_all():
-        return {name: solve(graphs[name]) for name in subset}
+        return {name: solve(graph) for name, graph in graphs.items()}
 
     t0 = perf_counter()
     results = run_once(benchmark, run_all)
@@ -94,93 +82,49 @@ def test_solver_backend(benchmark, backend, graphs, out_dir):
 
 
 def bench_scale(registers: int, density: float, seed: int, window: int,
-                mono_time_limit: float, skip_mono: bool,
-                warm_check: bool) -> dict:
-    """Portfolio-vs-monolithic scale shootout on one fuzzed FF graph."""
+                mono_time_limit: float, skip_mono: bool) -> dict:
+    """Whole-graph MIS vs monolithic HiGHS on one fuzzed FF graph."""
     graph = random_ff_graph(seed=seed, n_ffs=registers,
                             fanout_density=density, window=window)
     print(f"fuzzed graph: {registers} registers, density {density}, "
           f"seed {seed}, window {window}")
 
-    warm = WarmCache()
     t0 = perf_counter()
-    cold = solve_portfolio(graph, warm=warm)
-    cold_wall = perf_counter() - t0
-    assert cold.optimal, "decomposed portfolio must be exact at this scale"
-    print(f"portfolio (cold): objective {cold.objective} in {cold_wall:.3f}s "
-          f"({cold.meta['partitions']} partitions, "
-          f"winners {cold.meta['winners']})")
-
-    t0 = perf_counter()
-    rerun = solve_portfolio(graph, warm=warm)
-    warm_wall = perf_counter() - t0
-    assert rerun.objective == cold.objective
-    hit_rate = rerun.meta["warm_hits"] / max(1, rerun.meta["partitions"])
-    print(f"portfolio (warm): objective {rerun.objective} in {warm_wall:.3f}s "
-          f"({rerun.meta['warm_hits']}/{rerun.meta['partitions']} "
-          f"partition cache hits, rate {hit_rate:.3f})")
-    if warm_check:
-        assert hit_rate >= 0.90, (
-            f"warm rerun hit only {hit_rate:.1%} of partitions (need >=90%)")
-
-    t0 = perf_counter()
-    heuristic = solve_heuristic(graph)
-    heuristic_wall = perf_counter() - t0
-    gap = heuristic.meta["gap"]
-    assert heuristic.objective >= cold.objective
-    assert gap <= 0.05, f"heuristic certified gap {gap:.4f} exceeds 5%"
-    print(f"heuristic: objective {heuristic.objective} in "
-          f"{heuristic_wall:.3f}s (certified gap {gap:.4f})")
+    mis = solve_via_mis(graph)
+    mis_wall = perf_counter() - t0
+    assert mis.optimal, "the MIS search hit its node limit"
+    print(f"MIS: objective {mis.objective} in {mis_wall:.3f}s")
 
     record = {
         "bench": "ilp",
         "registers": registers,
         "fanout_density": density,
         "seed": seed,
-        "portfolio": {
-            "wall_s": round(cold_wall, 4),
-            "objective": cold.objective,
-            "partitions": cold.meta["partitions"],
-            "components": cold.meta["components"],
-            "max_partition": cold.meta["max_partition"],
-            "win": dict(cold.meta["winners"]),
-        },
-        "warm": {
-            "wall_s": round(warm_wall, 4),
-            "hit_rate": round(hit_rate, 4),
-            "hits": rerun.meta["warm_hits"],
-        },
-        "heuristic": {
-            "wall_s": round(heuristic_wall, 4),
-            "objective": heuristic.objective,
-            "gap": round(gap, 6),
+        "mis": {
+            "wall_s": round(mis_wall, 4),
+            "objective": mis.objective,
         },
     }
 
     if not skip_mono:
         t0 = perf_counter()
-        mono = solve_ilp(graph, backend="scipy", time_limit=mono_time_limit)
+        mono = solve_ilp(graph, time_limit=mono_time_limit)
         mono_wall = perf_counter() - t0
         if mono.optimal:
-            assert mono.objective == cold.objective, (
-                "exact modes disagree: monolithic HiGHS "
-                f"{mono.objective} vs portfolio {cold.objective}")
+            assert mono.objective == mis.objective, (
+                "exact solvers disagree: monolithic HiGHS "
+                f"{mono.objective} vs MIS {mis.objective}")
         else:
-            # HiGHS hit its limit: its incumbent cannot beat the exact
-            # optimum, and its wall is a *lower* bound for the speedup.
-            assert mono.objective >= cold.objective
-        speedup = mono_wall / max(cold_wall, 1e-9)
+            # HiGHS hit its limit: its incumbent cannot beat the optimum.
+            assert mono.objective >= mis.objective
         print(f"monolithic HiGHS: objective {mono.objective} in "
-              f"{mono_wall:.3f}s (optimal: {mono.optimal}) -- "
-              f"portfolio speedup {speedup:.1f}x"
-              f"{'' if mono.optimal else ' (lower bound)'}")
+              f"{mono_wall:.3f}s (optimal: {mono.optimal})")
         record["mono"] = {
             "wall_s": round(mono_wall, 4),
             "objective": mono.objective,
             "optimal": int(mono.optimal),
             "time_limit": mono_time_limit,
         }
-        record["speedup"] = round(speedup, 2)
 
     from repro.bench.recorder import write_bench_json as write_record
     path = write_record("ilp", record)
@@ -198,17 +142,12 @@ def main(argv=None) -> int:
     parser.add_argument("--window", type=int, default=40,
                         help="edge locality window of the fuzzer")
     parser.add_argument("--mono-time-limit", type=float, default=300.0,
-                        help="wall cap for the monolithic HiGHS reference; "
-                             "hitting it makes the speedup a lower bound")
+                        help="wall cap for the monolithic HiGHS reference")
     parser.add_argument("--skip-mono", action="store_true",
-                        help="skip the monolithic reference solve "
-                             "(no speedup recorded)")
-    parser.add_argument("--warm-check", action="store_true",
-                        help="fail unless the warm rerun hits >=90%% of "
-                             "partition caches")
+                        help="skip the monolithic HiGHS reference solve")
     args = parser.parse_args(argv)
     bench_scale(args.registers, args.density, args.seed, args.window,
-                args.mono_time_limit, args.skip_mono, args.warm_check)
+                args.mono_time_limit, args.skip_mono)
     return 0
 
 

@@ -131,27 +131,7 @@ def _add_selection_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cycles", type=int, default=None,
                         help="override measurement cycles (smaller = faster)")
     _add_sim_lanes_arg(parser)
-    _add_ilp_args(parser)
     _add_jobs_arg(parser)
-
-
-def _add_ilp_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ilp-mode", choices=("mono", "decompose", "portfolio", "heuristic"),
-        default="mono", dest="ilp_mode",
-        help="phase-ILP strategy: mono = one whole-graph solve, "
-             "decompose = partitioned MIS, portfolio = partitioned with a "
-             "per-partition backend race + warm starts, heuristic = LP "
-             "rounding with a certified gap (see docs/ilp.md)")
-    parser.add_argument(
-        "--ilp-partition-cap", type=_positive_int, default=2048,
-        metavar="N", dest="ilp_partition_cap",
-        help="largest partition solved whole; bigger components are cut "
-             "by articulation-point branching")
-    parser.add_argument(
-        "--ilp-portfolio", default="mis,scipy,bb", metavar="SPEC",
-        dest="ilp_portfolio",
-        help="comma-separated backend race order for --ilp-mode portfolio")
 
 
 def _flow_option_overrides(args: argparse.Namespace) -> dict:
@@ -159,12 +139,6 @@ def _flow_option_overrides(args: argparse.Namespace) -> dict:
     overrides = {}
     if getattr(args, "sim_lanes", 1) > 1:
         overrides["sim_lanes"] = args.sim_lanes
-    if getattr(args, "ilp_mode", "mono") != "mono":
-        overrides["ilp_mode"] = args.ilp_mode
-    if getattr(args, "ilp_partition_cap", 2048) != 2048:
-        overrides["ilp_partition_cap"] = args.ilp_partition_cap
-    if getattr(args, "ilp_portfolio", "mis,scipy,bb") != "mis,scipy,bb":
-        overrides["ilp_portfolio"] = args.ilp_portfolio
     return overrides
 
 
@@ -197,9 +171,6 @@ def _run_one(args: argparse.Namespace) -> int:
         profile=bench.workload,
         sim_cycles=args.cycles or bench.sim_cycles,
         sim_lanes=args.sim_lanes,
-        ilp_mode=args.ilp_mode,
-        ilp_partition_cap=args.ilp_partition_cap,
-        ilp_portfolio=args.ilp_portfolio,
     )
     comparison = compare_styles(module, options, jobs=args.jobs,
                                 executor=args.executor,
@@ -640,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("design")
     run.add_argument("--cycles", type=int, default=None)
     _add_sim_lanes_arg(run)
-    _add_ilp_args(run)
     _add_jobs_arg(run)
     _add_obs_args(run)
     run.set_defaults(func=_cmd_run)

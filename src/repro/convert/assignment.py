@@ -12,7 +12,7 @@ checks the feasibility conditions the netlist rewrite relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netlist.traversal import FFGraph
 
@@ -31,7 +31,6 @@ class PhaseAssignment:
     solver: str = ""
     solve_seconds: float = 0.0
     optimal: bool = True
-    meta: dict[str, object] = field(default_factory=dict)
 
     def leading_phase(self, ff: str) -> str:
         return "p1" if self.k[ff] else "p3"

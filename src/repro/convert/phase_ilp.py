@@ -17,12 +17,14 @@ can never be in S; (iii) a fanout of a primary input can never be in S.
 Conversely any independent set avoiding self-loop and PI-fed FFs extends to
 a feasible assignment by setting ``K(u)=1, G(u)=0`` for members and
 ``K(u)=0 (or 1), G(u)=1`` for the rest.  Hence ``min sum G = |V| - |MIS|``
-on the eligible subgraph.  The test suite checks both solution paths agree
-on every benchmark and on random graphs.
+on the eligible subgraph.
 
-Solvers: ``backend="scipy"`` (HiGHS, default -- the Gurobi stand-in),
-``"bb"`` (our from-scratch branch and bound), ``"mis"`` (branch-and-reduce
-on the reduced problem), ``"greedy"`` (heuristic baseline for ablation).
+Solvers: :func:`assign_phases` runs one whole-graph branch-and-reduce MIS
+(``method="mis"``, exact, the default) or the greedy heuristic
+(``"greedy"``, the ablation baseline).  :func:`solve_ilp` solves the ILP
+itself with HiGHS (``scipy.optimize.milp``, the Gurobi stand-in); it is
+the reference the test suite and ``benchmarks/bench_ilp.py`` check the
+MIS path against.
 """
 
 from __future__ import annotations
@@ -30,23 +32,14 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.ilp import IlpModel, Sense, SolveStatus, branch_bound, scipy_backend
-from repro.ilp.decompose import LeafOutcome, solve_decomposed
-from repro.ilp.lp_round import solve_lp_round
+from repro.ilp import IlpModel, Sense, SolveStatus, scipy_backend
 from repro.ilp.mis import max_independent_set
-from repro.ilp.portfolio import parse_backends, solve_partition
-from repro.ilp.warmstart import (
-    WarmCache,
-    canonical_order,
-    partition_digest,
-    shape_key,
-)
 from repro.netlist.core import Module
 from repro.netlist.traversal import FFGraph, ff_fanout_map
 from repro.convert.assignment import PhaseAssignment
 
-#: ``assign_phases`` solve strategies (``FlowOptions.ilp_mode``).
-ILP_MODES = ("mono", "decompose", "portfolio", "heuristic")
+#: ``assign_phases`` methods (``FlowOptions.assign_method``).
+ASSIGN_METHODS = ("mis", "greedy")
 
 
 def build_model(graph: FFGraph) -> tuple[IlpModel, dict[str, int], dict[str, int]]:
@@ -116,7 +109,7 @@ def assignment_from_single_set(
 
 
 def solve_via_mis(graph: FFGraph, node_limit: int = 500_000) -> PhaseAssignment:
-    """Exact solve through the MIS reduction (fastest path in practice)."""
+    """Exact solve through the MIS reduction (the flow's solver)."""
     start = time.monotonic()
     with obs.span("ilp.solve", solver="mis", ffs=len(graph.ffs)) as sp:
         result = max_independent_set(_eligible_adjacency(graph), node_limit)
@@ -152,46 +145,30 @@ def solve_greedy(graph: FFGraph) -> PhaseAssignment:
     )
 
 
-def solve_ilp(
-    graph: FFGraph,
-    backend: str = "scipy",
-    time_limit: float = 120.0,
-) -> PhaseAssignment:
-    """Solve the paper's ILP with an LP-based backend."""
-    with obs.span("ilp.build", backend=backend) as sp:
+def solve_ilp(graph: FFGraph, time_limit: float = 120.0) -> PhaseAssignment:
+    """Solve the paper's ILP directly with HiGHS (the reference solver)."""
+    with obs.span("ilp.build", backend="scipy") as sp:
         model, g_var, k_var = build_model(graph)
         sp.set(variables=model.num_vars, constraints=len(model.constraints))
     obs.gauge("ilp.variables", model.num_vars)
     obs.gauge("ilp.constraints", len(model.constraints))
-    with obs.span("ilp.solve", solver=backend,
+    with obs.span("ilp.solve", solver="scipy",
                   variables=model.num_vars) as sp:
-        if backend == "scipy":
-            solution = scipy_backend.solve(model, time_limit=time_limit)
-        elif backend == "bb":
-            warm = solve_greedy(graph)
-            warm_values = [0] * model.num_vars
-            for ff in graph.ffs:
-                warm_values[g_var[ff]] = warm.group[ff]
-                warm_values[k_var[ff]] = warm.k[ff]
-            solution = branch_bound.solve(model, warm_start=warm_values,
-                                          time_limit=time_limit)
-        else:
-            raise ValueError(f"unknown ILP backend {backend!r}")
-        sp.set(status=solution.status.value,
-               nodes=solution.nodes_explored)
+        solution = scipy_backend.solve(model, time_limit=time_limit)
+        sp.set(status=solution.status.value)
 
     if not solution.ok:
         raise RuntimeError(
             f"phase-assignment ILP unsolved: status={solution.status}"
         )
-    with obs.span("ilp.extract", solver=backend):
+    with obs.span("ilp.extract", solver="scipy"):
         group = {ff: solution.values[g_var[ff]] for ff in graph.ffs}
         k = {ff: solution.values[k_var[ff]] for ff in graph.ffs}
         assignment = PhaseAssignment(
             group=group,
             k=k,
             objective=int(round(solution.objective)),
-            solver=backend,
+            solver="scipy",
             solve_seconds=solution.solve_seconds,
             optimal=solution.status is SolveStatus.OPTIMAL,
         )
@@ -199,160 +176,25 @@ def solve_ilp(
     return assignment
 
 
-def _partition_name(adjacency: dict[str, set[str]]) -> str:
-    """Human identification of a partition for error messages."""
-    anchor = min(adjacency, key=str) if adjacency else "<empty>"
-    return f"{len(adjacency)} FFs around {anchor!r}"
+def check_method(method: str) -> None:
+    """Raise ``ValueError`` unless ``method`` is an ``assign_phases`` method."""
+    if method not in ASSIGN_METHODS:
+        raise ValueError(f"unknown assign method {method!r}; "
+                         f"known: {', '.join(ASSIGN_METHODS)}")
 
 
-def solve_portfolio(
-    graph: FFGraph,
-    backends: tuple[str, ...] = ("mis", "scipy", "bb"),
-    partition_cap: int = 2048,
-    time_limit: float = 120.0,
-    warm: WarmCache | None = None,
-) -> PhaseAssignment:
-    """Decomposed solve with a per-partition backend race + warm starts.
-
-    The eligible graph splits into partitions (components, articulation
-    branches); each partition first consults the warm-start cache, then
-    races ``backends``.  The stitched result is exact iff every
-    partition solved exactly; ``meta`` carries the partition/winner/
-    warm-hit breakdown the bench and the serve status page report.
-    """
-    start = time.monotonic()
-    per_partition_budget = max(1.0, min(30.0, time_limit / 4.0))
-
-    def leaf(adjacency: dict[str, set[str]]) -> LeafOutcome:
-        incumbent = None
-        order = digest = shape = None
-        if warm is not None:
-            order = canonical_order(adjacency)
-            digest = partition_digest(adjacency, order)
-            shape = shape_key(adjacency)
-            hit = warm.lookup(adjacency, order, digest)
-            if hit is not None:
-                return LeafOutcome(chosen=hit, exact=True, solver="warm",
-                                   warm_hit=True)
-            incumbent = warm.lookup_incumbent(adjacency, order, shape)
-        try:
-            outcome = solve_partition(
-                adjacency,
-                backends=backends,
-                time_budget=per_partition_budget,
-                incumbent=incumbent,
-            )
-        except Exception as exc:
-            raise RuntimeError(
-                "phase-assignment failed in partition "
-                f"({_partition_name(adjacency)}): {exc}"
-            ) from exc
-        if warm is not None:
-            warm.store(adjacency, order, digest, shape,
-                       outcome.chosen, outcome.exact)
-        return outcome
-
-    decomposed = solve_decomposed(
-        _eligible_adjacency(graph), leaf, partition_cap=partition_cap)
-    winners: dict[str, int] = {}
-    for partition in decomposed.partitions:
-        winners[partition.solver] = winners.get(partition.solver, 0) + 1
-    with obs.span("ilp.extract", solver="portfolio"):
-        assignment = assignment_from_single_set(
-            graph,
-            decomposed.chosen,
-            solver="portfolio" if len(backends) > 1 else backends[0],
-            seconds=time.monotonic() - start,
-            optimal=decomposed.exact,
-        )
-    assignment.meta.update(
-        components=decomposed.components,
-        partitions=len(decomposed.partitions),
-        splits=decomposed.splits,
-        winners=winners,
-        warm_hits=decomposed.warm_hits,
-        warm_stats=warm.stats() if warm is not None else None,
-        max_partition=max((p.size for p in decomposed.partitions), default=0),
-    )
-    return assignment
-
-
-def solve_heuristic(graph: FFGraph, chunk_cap: int = 4000) -> PhaseAssignment:
-    """LP-rounding heuristic with a certified gap (``ilp_mode="heuristic"``).
-
-    The reported ``meta["gap"]`` upper-bounds the true optimality gap:
-    ineligible FFs contribute exactly 1 to the objective and the bound
-    alike, and the eligible-scope bound is certified by the LP
-    relaxation (see :mod:`repro.ilp.lp_round`).
-    """
-    eligible = _eligible_adjacency(graph)
-    heur = solve_lp_round(eligible, chunk_cap=chunk_cap)
-    ineligible = len(graph.ffs) - len(eligible)
-    objective = heur.objective + ineligible
-    lower_bound = heur.lower_bound + ineligible
-    gap = (objective - lower_bound) / objective if objective > 0 else 0.0
-    assignment = assignment_from_single_set(
-        graph,
-        heur.chosen,
-        solver="lp_round",
-        seconds=heur.seconds,
-        optimal=objective == lower_bound,
-    )
-    assignment.meta.update(
-        gap=max(0.0, gap),
-        lower_bound=lower_bound,
-        chunks=heur.chunks,
-    )
-    obs.annotate(gap=assignment.meta["gap"])
-    return assignment
-
-
-def assign_phases(
-    module: Module,
-    method: str = "mis",
-    time_limit: float = 120.0,
-    ilp_mode: str = "mono",
-    partition_cap: int = 2048,
-    portfolio: str = "mis,scipy,bb",
-    warm: WarmCache | None = None,
-) -> PhaseAssignment:
+def assign_phases(module: Module, method: str = "mis") -> PhaseAssignment:
     """End-to-end phase assignment for a FF-based module.
 
-    ``ilp_mode`` picks the solve strategy:
-
-    * ``"mono"`` -- one whole-graph solve with ``method`` (``"mis"``
-      exact default, ``"scipy"``/``"bb"`` the ILP directly, ``"greedy"``
-      the ablation baseline);
-    * ``"decompose"`` -- partitioned solve, MIS leaves only;
-    * ``"portfolio"`` -- partitioned solve racing the ``portfolio``
-      backends per partition, warm-started from ``warm`` if given;
-    * ``"heuristic"`` -- LP rounding with a certified gap.
+    ``method="mis"`` solves the ILP exactly through one whole-graph MIS;
+    ``"greedy"`` is the heuristic ablation baseline.
     """
+    check_method(method)
     with obs.span("ilp.graph", design=module.name):
         graph = ff_fanout_map(module)
     obs.gauge("ilp.ffs", len(graph.ffs))
-    if ilp_mode == "mono":
-        if method == "mis":
-            assignment = solve_via_mis(graph)
-        elif method == "greedy":
-            assignment = solve_greedy(graph)
-        else:
-            assignment = solve_ilp(graph, backend=method,
-                                   time_limit=time_limit)
-    elif ilp_mode == "decompose":
-        assignment = solve_portfolio(
-            graph, backends=("mis",), partition_cap=partition_cap,
-            time_limit=time_limit, warm=warm)
-    elif ilp_mode == "portfolio":
-        assignment = solve_portfolio(
-            graph, backends=parse_backends(portfolio),
-            partition_cap=partition_cap, time_limit=time_limit, warm=warm)
-    elif ilp_mode == "heuristic":
-        assignment = solve_heuristic(graph)
-    else:
-        raise ValueError(
-            f"unknown ilp_mode {ilp_mode!r}; known: {', '.join(ILP_MODES)}"
-        )
+    solve = solve_via_mis if method == "mis" else solve_greedy
+    assignment = solve(graph)
     obs.annotate(solver=assignment.solver,
                  objective=assignment.objective,
                  optimal=assignment.optimal)

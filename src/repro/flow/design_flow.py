@@ -46,19 +46,9 @@ class FlowOptions:
     period: float = 1000.0  # ps (1 GHz, the paper's ISCAS rate)
     style: str = "3p"
     clock_gating_style: str = "gated"
+    #: phase-assignment solver: ``"mis"`` (exact, one whole-graph MIS) or
+    #: ``"greedy"`` (the ablation baseline).
     assign_method: str = "mis"
-    #: phase-ILP solve strategy: ``"mono"`` (one whole-graph solve with
-    #: ``assign_method``), ``"decompose"`` (partitioned, MIS leaves),
-    #: ``"portfolio"`` (partitioned + per-partition backend race + warm
-    #: starts from the disk cache), ``"heuristic"`` (LP rounding with a
-    #: certified optimality gap -- for interactive/serve use).
-    ilp_mode: str = "mono"
-    #: largest partition handed to a leaf solver whole; bigger connected
-    #: components are cut down by articulation-point branching.
-    ilp_partition_cap: int = 2048
-    #: comma-separated backend race order for ``ilp_mode="portfolio"``
-    #: (also the fallback ranking when no backend finishes exactly).
-    ilp_portfolio: str = "mis,scipy,bb"
     retime: bool = True
     #: also retime the master-slave baseline's slave latches (the paper
     #: notes M-S designs have "more slave latches that can be moved

@@ -497,47 +497,25 @@ class SingleClockStage(Stage):
 
 
 class PhaseIlpStage(Stage):
-    """Sec. IV-A phase assignment (exact ILP / MIS / greedy).
-
-    ``ilp_mode`` selects the scale strategy (monolithic, decomposed,
-    portfolio race, LP heuristic); in the partitioned modes the warm
-    cache shares the flow's disk tier, so structurally repeated
-    partitions -- across designs and across runs -- solve once.
-    """
+    """Sec. IV-A phase assignment (exact whole-graph MIS, or greedy)."""
 
     name = "ilp"
     produces = ("assignment",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
-        return (options.assign_method, options.ilp_mode,
-                options.ilp_partition_cap, options.ilp_portfolio)
+        return (options.assign_method,)
 
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.convert.phase_ilp import assign_phases
-        from repro.ilp.warmstart import WarmCache
 
-        warm = None
-        if ctx.options.ilp_mode in ("decompose", "portfolio"):
-            disk = ctx.cache.disk if ctx.cache is not None else None
-            warm = WarmCache(disk=disk)
-        assignment = assign_phases(
-            ctx.module,
-            method=ctx.options.assign_method,
-            ilp_mode=ctx.options.ilp_mode,
-            partition_cap=ctx.options.ilp_partition_cap,
-            portfolio=ctx.options.ilp_portfolio,
-            warm=warm,
-        )
+        assignment = assign_phases(ctx.module,
+                                   method=ctx.options.assign_method)
         ctx.artifacts["assignment"] = assignment
-        summary = {
+        return {
             "solver": assignment.solver,
             "ffs": assignment.num_ffs,
             "latches": assignment.total_latches,
         }
-        for key in ("partitions", "warm_hits", "gap"):
-            if key in assignment.meta:
-                summary[key] = assignment.meta[key]
-        return summary
 
 
 class ConvertThreePhaseStage(Stage):

@@ -1,35 +1,16 @@
-"""0-1 integer linear programming engine (Gurobi substitute).
+"""0-1 integer linear programming for the phase ILP (Gurobi substitute).
 
 * :class:`~repro.ilp.model.IlpModel` -- binary minimization models;
-* :mod:`~repro.ilp.branch_bound` -- exact from-scratch branch-and-bound;
-* :mod:`~repro.ilp.scipy_backend` -- exact HiGHS backend via scipy;
 * :mod:`~repro.ilp.mis` -- exact maximum-independent-set branch-and-reduce
-  (the structure the paper's ILP reduces to);
-* :mod:`~repro.ilp.decompose` -- component/articulation decomposition so
-  100k+-register graphs solve as many small partitions;
-* :mod:`~repro.ilp.portfolio` -- per-partition backend race (first exact
-  answer wins, losers cancelled);
-* :mod:`~repro.ilp.warmstart` -- digest-keyed partition solution cache
-  (isomorphism-robust canonical ordering);
-* :mod:`~repro.ilp.lp_round` -- LP-relaxation rounding heuristic with a
-  certified optimality gap;
+  (the structure the paper's ILP reduces to; the flow's solver);
+* :mod:`~repro.ilp.scipy_backend` -- exact HiGHS backend via scipy, the
+  reference the MIS path is tested and benchmarked against;
 * :mod:`~repro.ilp.fuzz` -- seeded random FF-graph generator for the
   differential tests and scale benchmarks.
 """
 
-from repro.ilp import branch_bound, mis, scipy_backend
+from repro.ilp import fuzz, mis, scipy_backend
 from repro.ilp.model import Constraint, IlpModel, Sense, Solution, SolveStatus
-from repro.ilp import decompose, fuzz, lp_round, portfolio, warmstart  # noqa: E402
-
-
-def solve(model: IlpModel, backend: str = "scipy", **kwargs) -> Solution:
-    """Solve with a named backend: ``"scipy"`` (HiGHS) or ``"bb"`` (ours)."""
-    if backend == "scipy":
-        return scipy_backend.solve(model, **kwargs)
-    if backend == "bb":
-        return branch_bound.solve(model, **kwargs)
-    raise ValueError(f"unknown ILP backend {backend!r}")
-
 
 __all__ = [
     "Constraint",
@@ -37,13 +18,7 @@ __all__ = [
     "Sense",
     "Solution",
     "SolveStatus",
-    "branch_bound",
-    "scipy_backend",
-    "mis",
-    "decompose",
     "fuzz",
-    "lp_round",
-    "portfolio",
-    "warmstart",
-    "solve",
+    "mis",
+    "scipy_backend",
 ]

@@ -4,12 +4,13 @@ Real netlists are not Erdos-Renyi: registers mostly talk to nearby
 registers (datapath locality) with an occasional long wire (control).
 ``random_ff_graph`` models that with a *locality window*: FF ``i`` fans
 out to FFs drawn uniformly from ``[i - window, i + window]``, which keeps
-the eligible graph sparse-but-connected the way placed designs are, and --
-crucially for the decomposition layer -- produces many medium connected
-components instead of one giant clique or 50k isolated vertices.
+the eligible graph sparse-but-connected the way placed designs are: below
+a fanout density of about 1 it falls into many medium connected
+components, above it into one giant component, instead of one giant
+clique or 50k isolated vertices.
 
 The generator is fully deterministic in ``seed`` so the differential
-suite ("200 fuzzed graphs agree with monolithic HiGHS") and the
+suite ("fuzzed graphs agree with monolithic HiGHS") and the
 50k-register scale benchmark replay the exact same instances everywhere.
 """
 

@@ -11,15 +11,16 @@ the proof sketch); FF graphs are sparse, which branch-and-reduce exploits:
   excluded, or ``v`` is included and its whole neighbourhood excluded.
 
 The solver is exact; a ``node_limit`` guards pathological instances by
-finishing greedily (reported via ``exact=False``).
+finishing greedily (reported via ``exact=False``).  The reductions visit
+vertices in adjacency insertion order and ties are broken by name, so the
+chosen set does not depend on ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable
+from typing import Hashable, Iterable
 
 Node = Hashable
 Adjacency = dict[Node, set[Node]]
@@ -68,64 +69,51 @@ def _greedy(adj: Adjacency, alive: set[Node]) -> set[Node]:
 
 
 class _Search:
-    def __init__(
-        self,
-        adj: Adjacency,
-        node_limit: int,
-        deadline: float | None = None,
-        should_stop: Callable[[], bool] | None = None,
-    ):
+    def __init__(self, adj: Adjacency, node_limit: int):
         self.adj = adj
         self.node_limit = node_limit
-        self.deadline = deadline
-        self.should_stop = should_stop
+        # vertex sets iterate in hash order; walk them in insertion order
+        self.rank = {node: i for i, node in enumerate(adj)}
         self.nodes = 0
         self.exact = True
 
-    def _out_of_budget(self) -> bool:
-        if self.nodes > self.node_limit:
-            return True
-        # poll the clock and the cancellation hook sparsely: both cost a
-        # call per check, which adds up over hundreds of thousands of nodes
-        if self.nodes % 64 == 0:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                return True
-            if self.should_stop is not None and self.should_stop():
-                return True
-        return False
-
     def solve(self, alive: set[Node]) -> set[Node]:
         self.nodes += 1
-        if self._out_of_budget():
+        if self.nodes > self.node_limit:
             self.exact = False
             return _greedy(self.adj, alive)
         if not alive:
             return set()
 
-        # Reductions: take isolated vertices; take one endpoint of pendants.
+        # Reductions, in rounds: take every vertex that is isolated or a
+        # pendant when the round starts, dropping its one neighbour.
+        # Degrees only fall, so a vertex stays eligible within its round,
+        # and only neighbours of dropped vertices can join the next one.
         chosen: set[Node] = set()
         alive = set(alive)
-        changed = True
-        while changed:
-            changed = False
-            for node in list(alive):
+        order = sorted(alive, key=self.rank.__getitem__)
+        candidates = order
+        while candidates:
+            pendants = [v for v in candidates if len(self.adj[v] & alive) <= 1]
+            dropped: set[Node] = set()
+            for node in pendants:
                 if node not in alive:
                     continue
                 neighbours = self.adj[node] & alive
-                if not neighbours:
-                    chosen.add(node)
-                    alive.discard(node)
-                    changed = True
-                elif len(neighbours) == 1:
-                    chosen.add(node)
-                    alive.discard(node)
-                    alive -= neighbours
-                    changed = True
+                chosen.add(node)
+                alive.discard(node)
+                alive -= neighbours
+                dropped |= neighbours
+            touched: set[Node] = set()
+            for node in dropped:
+                touched |= self.adj[node] & alive
+            candidates = sorted(touched, key=self.rank.__getitem__)
         if not alive:
             return chosen
+        order = [v for v in order if v in alive]
 
         # Decompose what is left.
-        sub_adj = {v: self.adj[v] & alive for v in alive}
+        sub_adj = {v: self.adj[v] & alive for v in order}
         components = list(_components(sub_adj))
         if len(components) > 1:
             for component in components:
@@ -142,18 +130,12 @@ class _Search:
         return with_pivot if len(with_pivot) >= len(without_pivot) else without_pivot
 
 
-def max_independent_set(
-    adj: Adjacency,
-    node_limit: int = 500_000,
-    time_limit: float | None = None,
-    should_stop: Callable[[], bool] | None = None,
-) -> MisResult:
+def max_independent_set(adj: Adjacency, node_limit: int = 500_000) -> MisResult:
     """Exact MIS of the undirected graph given as an adjacency dict.
 
     The adjacency must be symmetric and irreflexive (no self loops).
-    ``time_limit``/``should_stop`` stop the search early (the result is
-    then greedily completed and reported via ``exact=False``); a
-    portfolio race passes ``should_stop`` to abandon a losing search.
+    Past ``node_limit`` search nodes the result is greedily completed and
+    reported via ``exact=False``.
     """
     for node, neighbours in adj.items():
         if node in neighbours:
@@ -161,12 +143,10 @@ def max_independent_set(
         for other in neighbours:
             if node not in adj.get(other, ()):
                 raise ValueError(f"asymmetric adjacency between {node!r} and {other!r}")
-    deadline = None if time_limit is None else time.monotonic() + time_limit
-    search = _Search(adj, node_limit, deadline=deadline,
-                     should_stop=should_stop)
+    search = _Search(adj, node_limit)
     # The branch recursion removes at least one vertex per level, so its
     # depth is bounded by |V|; lift CPython's default 1000-frame cap for
-    # the multi-thousand-vertex partitions the decomposition layer hands us.
+    # multi-thousand-vertex graphs.
     needed = 2 * len(adj) + 512
     previous = sys.getrecursionlimit()
     if needed > previous:

@@ -3,13 +3,10 @@
 The paper formulates its conversion problem for Gurobi; this project cannot
 ship Gurobi, so :class:`IlpModel` captures the same class of models
 (binary variables, linear constraints, linear objective) and is solved by
-interchangeable backends:
-
-* :func:`repro.ilp.branch_bound.solve` -- our own exact branch-and-bound
-  with an LP relaxation (built from scratch on ``scipy.optimize.linprog``);
-* :func:`repro.ilp.scipy_backend.solve` -- ``scipy.optimize.milp`` (HiGHS);
-* :func:`repro.ilp.greedy.solve_phase_assignment_greedy` -- a heuristic
-  used as a warm start and an ablation baseline.
+:func:`repro.ilp.scipy_backend.solve` (``scipy.optimize.milp``, HiGHS).
+The flow itself solves the phase ILP through its MIS reduction
+(:func:`repro.convert.phase_ilp.solve_via_mis`); the HiGHS solve of the
+model is the reference that path is checked against.
 """
 
 from __future__ import annotations

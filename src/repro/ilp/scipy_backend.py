@@ -1,9 +1,9 @@
 """``scipy.optimize.milp`` (HiGHS) backend for :class:`IlpModel`.
 
-This is the production backend of the flow: HiGHS is an exact MILP solver,
-so it plays the role Gurobi plays in the paper.  The from-scratch
-branch-and-bound in :mod:`repro.ilp.branch_bound` is cross-checked against
-it in the test suite.
+HiGHS is an exact MILP solver, so it plays the role Gurobi plays in the
+paper.  The flow solves the phase ILP through its MIS reduction
+(:mod:`repro.ilp.mis`); this backend is the reference the test suite and
+``benchmarks/bench_ilp.py`` check that path against.
 """
 
 from __future__ import annotations

@@ -59,7 +59,6 @@ _OVERRIDABLE = frozenset({
     "sim_cycles", "warmup_cycles", "profile", "profile_cycles", "seed",
     "sim_delay_model", "sim_lanes", "clock_uncertainty", "resize", "verify",
     "verify_fail_on", "verify_conflict_budget",
-    "ilp_mode", "ilp_partition_cap", "ilp_portfolio",
 })
 
 
@@ -91,15 +90,10 @@ def resolve_options(design: str, overrides: dict | None = None) -> FlowOptions:
             raise ValueError(
                 f"unknown or non-overridable option(s): {', '.join(bad)}")
         options = replace(options, **overrides)
-        # Reject bad ILP knob values at intake (400) instead of letting
-        # the job fail minutes later inside the flow.
-        from repro.convert.phase_ilp import ILP_MODES
-        from repro.ilp.portfolio import parse_backends
-        if options.ilp_mode not in ILP_MODES:
-            raise ValueError(
-                f"unknown ilp_mode {options.ilp_mode!r}; "
-                f"known: {', '.join(ILP_MODES)}")
-        parse_backends(options.ilp_portfolio)
+        # Reject a bad solver name at intake (400) instead of letting the
+        # job fail later inside the flow.
+        from repro.convert.phase_ilp import check_method
+        check_method(options.assign_method)
     return options
 
 

@@ -1,7 +1,7 @@
 """An in-house CDCL SAT solver.
 
-In the repo's own-solver tradition (``repro.ilp.bb`` is the branch &
-bound twin): no external solver dependency, a readable implementation
+In the repo's own-solver tradition (``repro.ilp.mis`` is the exact MIS
+twin): no external solver dependency, a readable implementation
 of the standard modern architecture, sized for the per-cone miters the
 equivalence checker produces (hundreds to a few thousand variables).
 

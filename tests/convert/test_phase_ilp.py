@@ -46,7 +46,7 @@ class TestFormulation:
 
     def test_pi_fed_ff_forced_back_to_back(self):
         graph = make_graph([], ffs=["a"], pi_fanout=["a"])
-        for solver in (solve_via_mis(graph), solve_ilp(graph, "scipy")):
+        for solver in (solve_via_mis(graph), solve_ilp(graph)):
             assert solver.objective == 1
 
     def test_two_ff_chain_one_single(self):
@@ -78,10 +78,9 @@ class TestSolverAgreement:
         )
         graph = ff_fanout_map(module)
         mis = solve_via_mis(graph)
-        highs = solve_ilp(graph, backend="scipy")
-        bb = solve_ilp(graph, backend="bb")
+        highs = solve_ilp(graph)
         greedy = solve_greedy(graph)
-        assert mis.objective == highs.objective == bb.objective
+        assert mis.objective == highs.objective
         assert greedy.objective >= mis.objective
         assert mis.total_latches == graph.ffs.__len__() + mis.objective
 
@@ -92,16 +91,18 @@ class TestSolverAgreement:
             seed, n_ffs=8, n_gates=25, feedback=0.5
         )
         graph = ff_fanout_map(module)
-        assert solve_via_mis(graph).objective == solve_ilp(graph, "scipy").objective
+        assert solve_via_mis(graph).objective == solve_ilp(graph).objective
 
 
 class TestAssignPhases:
     def test_methods_dispatch(self, s27):
-        for method in ("mis", "scipy", "bb", "greedy"):
+        for method in ("mis", "greedy"):
             assignment = assign_phases(s27, method=method)
             assert assignment.num_ffs == 3
-        with pytest.raises(ValueError, match="unknown ILP backend"):
-            assign_phases(s27, method="gurobi")
+            assert assignment.solver == method
+        for method in ("gurobi", "scipy"):
+            with pytest.raises(ValueError, match="unknown assign method"):
+                assign_phases(s27, method=method)
 
     def test_s27_all_back_to_back(self, s27):
         # Every FF in s27 sits in a combinational feedback loop, so the

@@ -1,7 +1,11 @@
 """Maximum-independent-set solver tests."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -138,3 +142,34 @@ class TestAgainstBruteForce:
         result = max_independent_set(adj, node_limit=1)
         assert not result.exact
         assert_independent(adj, result.chosen)
+
+
+#: a perfect matching r0-r1, r2-r3, ... (every vertex a pendant) and a
+#: super-critical fuzzed FF graph, whose search branches.
+_HASH_SEED_PROBE = """
+import hashlib
+from repro.convert.phase_ilp import solve_via_mis
+from repro.ilp.fuzz import random_ff_graph
+from repro.ilp.mis import max_independent_set
+
+matching = {f"r{i}": {f"r{i ^ 1}"} for i in range(8)}
+print(sorted(max_independent_set(matching).chosen))
+graph = random_ff_graph(seed=1, n_ffs=2000, fanout_density=1.2)
+single = sorted(ff for ff, g in solve_via_mis(graph).group.items() if g == 0)
+print(hashlib.sha1(",".join(single).encode()).hexdigest())
+"""
+
+
+def test_chosen_set_independent_of_hash_seed():
+    """String sets iterate in hash order; the chosen set must not."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    answers = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE],
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        answers.add(run.stdout)
+    assert len(answers) == 1, answers

@@ -55,22 +55,10 @@ class TestScipyBackendStatuses:
                     SolveStatus.TIMEOUT, SolveStatus.UNSOLVED}) == 4
 
 
-class TestPartitionNamedErrors:
-    def test_portfolio_error_names_partition(self, monkeypatch):
-        from repro.convert import phase_ilp
-        from repro.ilp.fuzz import random_ff_graph
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("backend exploded")
-
-        monkeypatch.setattr(phase_ilp, "solve_partition", boom)
-        graph = random_ff_graph(seed=1, n_ffs=30, fanout_density=1.0)
-        with pytest.raises(RuntimeError, match=r"partition \(\d+ FFs around"):
-            phase_ilp.solve_portfolio(graph, backends=("mis",))
-
-    def test_unknown_mode_rejected(self):
+class TestAssignPhasesErrors:
+    def test_unknown_method_rejected(self):
         from repro.circuits import build
         from repro.convert.phase_ilp import assign_phases
 
-        with pytest.raises(ValueError, match="unknown ilp_mode"):
-            assign_phases(build("s1488"), ilp_mode="quantum")
+        with pytest.raises(ValueError, match="unknown assign method"):
+            assign_phases(build("s1488"), method="quantum")

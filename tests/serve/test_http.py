@@ -206,9 +206,13 @@ def test_error_statuses(server):
     assert _req(server, "POST", "/jobs",
                 {"design": "s1488", "styles": ["bogus"]})[0] == 400
     assert _req(server, "POST", "/jobs",
-                {"design": "s1488", "options": {"style": "3p"}})[0] == 400
+                {"design": "s1488", "options": {"style": "3p"}}) == (
+        400, {"error": "unknown or non-overridable option(s): style"})
     assert _req(server, "POST", "/jobs",
                 {"design": "s1488", "styles": "ff"})[0] == 400
+    code, body = _req(server, "POST", "/jobs", {
+        "design": "s1488", "options": {"assign_method": "gurobi"}})
+    assert code == 400 and "unknown assign method 'gurobi'" in body["error"]
     assert _req(server, "DELETE", "/jobs")[0] == 405
     assert _req(server, "POST", "/healthz")[0] == 405
     code, body = _req(server, "GET", "/jobs/j999999/result")
