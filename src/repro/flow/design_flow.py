@@ -95,6 +95,8 @@ class DesignResult:
 
     name: str
     style: str
+    #: the final netlist, shared with the flow's cache and possibly with
+    #: other results: copy it before editing it.
     module: Module
     clocks: ClockSpec
     stats: NetlistStats

@@ -2,7 +2,7 @@
 
 The in-memory cache dies with the process, so every ``repro table1``
 invocation used to re-synthesize and re-simulate everything.  This
-module adds a content-addressed directory of pickled stage snapshots
+module adds a content-addressed directory of pickled stage payloads
 keyed on the same ``(stage, library, design digest, clocks, input
 digest, options key)`` tuple the memory tier uses, so a warm second run
 of a whole suite is all-hit and skips synthesis and simulation entirely
@@ -15,7 +15,7 @@ Design points:
   the SHA-256 of the stable key repr (prefixed with the format version,
   so incompatible layouts never collide).  The per-stage directory makes
   ``stats``/``gc`` breakdowns cheap and the tree human-navigable.
-* **atomic writes** -- snapshots are pickled to a same-directory temp
+* **atomic writes** -- payloads are pickled to a same-directory temp
   file and ``os.replace``-d into place, so readers never observe a
   partially written entry, even across processes.
 * **single flight across processes** -- ``lock(key)`` takes an
@@ -44,10 +44,10 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-#: bump when the key schema or snapshot layout changes incompatibly;
+#: bump when the key schema or payload layout changes incompatibly;
 #: entries written under another version hash to different paths and
 #: simply age out via ``gc``.
-DISK_FORMAT = "repro-diskcache-v1"
+DISK_FORMAT = "repro-diskcache-v2"
 
 _MARKER = "CACHE_FORMAT"
 

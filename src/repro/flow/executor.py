@@ -20,7 +20,7 @@ executors:
 
 Results are bit-for-bit identical across executors and job counts: each
 flow run is deterministic, tasks are collected in submission order, and
-the disk tier stores/loads exact pickled snapshots.
+the disk tier stores/loads exact pickled payloads.
 
 Tracing crosses the process boundary: each worker task runs under its
 own :class:`~repro.obs.tracer.Tracer` whose state is shipped back and

@@ -12,7 +12,11 @@ hand-rolled per step:
 * **caching** -- stages that declare an options key are memoized in a
   content-addressed :class:`ArtifactCache` keyed on (stage, library,
   input-netlist digest, options), so ``compare_styles`` synthesizes a
-  design once and the ff/ms/3p runs share the result;
+  design once and the ff/ms/3p runs share the result.  A stage never
+  mutates the :class:`Module` it is handed (editing stages copy it
+  first), so cached netlists are shared by reference and a stage that
+  hands on the very object it received is known not to have changed
+  it: its output digest is its input digest;
 * **compatibility** -- each stage maps its measured time onto the legacy
   ``DesignResult.runtime`` keys, so existing reports and tests see the
   same dict they always did.
@@ -112,11 +116,13 @@ class ArtifactCache:
     """Thread-safe, content-addressed memo of stage artifacts.
 
     Keys are ``(stage name, library name, design digest, clocks key,
-    input digest, options key)``; values are whatever the stage's
-    ``snapshot`` captured (typically a pristine netlist copy).  Lookups
-    are single-flight: concurrent misses on one key run the producer
-    exactly once, which is what lets a parallel ``compare_styles`` still
-    synthesize only once.
+    input digest, options key)``; values are the runner's payloads
+    ``(module or None, output digest, clocks, artifacts, summary,
+    runtime keys)``.  The module is held by reference, not copied, and
+    is None for stages that hand on their input netlist unchanged; every
+    consumer shares it read-only.  Lookups are single-flight: concurrent
+    misses on one key run the producer exactly once, which is what lets
+    a parallel ``compare_styles`` still synthesize only once.
 
     With a ``disk`` tier (:class:`~repro.flow.diskcache.DiskCache`) the
     memory tier is layered over a persistent content-addressed store:
@@ -236,7 +242,7 @@ class StageContext:
     """Mutable state threaded through one pipeline run."""
 
     design: Module  # the source design; read-only from here on
-    module: Module  # the working netlist, rewritten stage by stage
+    module: Module  # the working netlist; stages replace it, never mutate it
     options: "FlowOptions"
     library: "Library"
     clocks: ClockSpec | None = None
@@ -269,11 +275,15 @@ class Stage:
 
     Subclasses set ``name`` (also the default legacy runtime key),
     declare the artifacts they consume/produce, and implement
-    :meth:`run`.  A stage is cacheable by returning a hashable options
-    signature from :meth:`options_key` (every concrete stage of the flow
-    does, so a fully cached run is all-hit end to end; return None to
-    opt out) and implementing ``snapshot``/``restore`` (the default pair
-    captures the working netlist plus declared artifacts).
+    :meth:`run`.  ``run`` never mutates the :class:`Module` it is
+    handed: a stage that edits the netlist starts with ``ctx.module =
+    ctx.module.copy()`` (or builds a fresh module), because the handed
+    module may be shared with the cache and with other style runs.  A
+    stage is cacheable by returning a hashable options signature from
+    :meth:`options_key` (every concrete stage of the flow does, so a
+    fully cached run is all-hit end to end; return None to opt out); the
+    runner caches the working netlist, the clocks and the declared
+    ``produces`` artifacts.
     """
 
     name: str = "stage"
@@ -284,9 +294,6 @@ class Stage:
     #: None keeps the stage out of the legacy dict (StageRecord only) and
     #: the default sentinel resolves to the stage name.
     runtime_key: str | None = _SAME_AS_NAME
-    #: False for read-only stages (lint gates): the runner reuses the
-    #: input digest as the output digest instead of re-hashing.
-    mutates_module: bool = True
 
     def __init__(self) -> None:
         if self.runtime_key == _SAME_AS_NAME:
@@ -300,24 +307,8 @@ class Stage:
         return None
 
     def run(self, ctx: StageContext) -> dict[str, object]:
-        """Execute the pass, mutating ``ctx``; returns the summary."""
+        """Execute the pass, updating ``ctx``; returns the summary."""
         raise NotImplementedError
-
-    # -- cache serialization -------------------------------------------------
-
-    def snapshot(self, ctx: StageContext, summary: dict) -> object:
-        """Capture the stage's output for the cache (pristine copies)."""
-        arts = {k: ctx.artifacts.get(k) for k in self.produces}
-        return (ctx.module.copy(), ctx.clocks, arts, dict(summary))
-
-    def restore(self, ctx: StageContext, payload: object) -> dict[str, object]:
-        """Install a cached artifact into ``ctx``; returns the summary."""
-        module, clocks, arts, summary = payload
-        ctx.module = module.copy()
-        if clocks is not None:
-            ctx.clocks = clocks
-        ctx.artifacts.update(arts)
-        return dict(summary)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +360,18 @@ class Pipeline:
 
     def _run_stage(self, stage: Stage, ctx: StageContext) -> None:
         t0 = time.monotonic()
+        module_in = ctx.module
         input_digest = (ctx.module_digest if ctx.module_digest is not None
-                        else module_digest(ctx.module))
+                        else module_digest(module_in))
+
+        def handed_on() -> tuple[Module | None, str]:
+            """The stage's new netlist (None if it handed on its input,
+            which it never mutates) and the output digest."""
+            if ctx.module is module_in:
+                return None, input_digest
+            return ctx.module, module_digest(ctx.module)
+
+        output_digest: str | None = None
         hit = False
         lock_wait: float | None = None
         runtime_keys: Mapping[str, float] | None = None
@@ -402,14 +403,20 @@ class Pipeline:
                             {stage.runtime_key: producer_wall}
                             if stage.runtime_key else {}
                         )
-                    return (stage.snapshot(ctx, summary), dict(rkeys))
+                    arts = {k: ctx.artifacts.get(k) for k in stage.produces}
+                    return (*handed_on(), ctx.clocks, arts, dict(summary),
+                            dict(rkeys))
 
                 payload, hit, lock_wait = ctx.cache.get_or_run(key, produce)
-                snap, runtime_keys = payload
-                # Producer and hit paths both restore from the snapshot, so
-                # every run sees the identical artifact regardless of which
-                # thread or process happened to populate the cache.
-                summary = stage.restore(ctx, snap)
+                (module, output_digest, clocks, arts, summary,
+                 runtime_keys) = payload
+                # Install by reference: a hit costs no copy and no hash.
+                if module is not None:
+                    ctx.module = module
+                if clocks is not None:
+                    ctx.clocks = clocks
+                ctx.artifacts.update(arts)
+                summary = dict(summary)
             else:
                 summary = stage.run(ctx)
             wall = time.monotonic() - t0
@@ -433,8 +440,8 @@ class Pipeline:
                     runtime_keys = (
                         {stage.runtime_key: wall} if stage.runtime_key else {}
                     )
-            output_digest = (input_digest if not stage.mutates_module
-                             else module_digest(ctx.module))
+            if output_digest is None:
+                output_digest = handed_on()[1]
             ctx.module_digest = output_digest
             ctx.records.append(StageRecord(
                 stage=stage.name,
@@ -606,6 +613,7 @@ class RetimeStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.retime import retime_forward
 
+        ctx.module = ctx.module.copy()
         kwargs = {}
         if self.movable_phase is not None:
             kwargs["movable_phase"] = self.movable_phase
@@ -628,6 +636,7 @@ class ClockGatingStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.cg import apply_p2_clock_gating
 
+        ctx.module = ctx.module.copy()
         activity, cycles, stats = _profile_activity(
             ctx.module, ctx.clocks, ctx.options)
         report = apply_p2_clock_gating(
@@ -649,10 +658,9 @@ class LintStage(Stage):
     non-3p styles only the structural family applies; the 3p chain gets
     the full phase/cg/retime families.  Cacheable like any other stage,
     so a warm run stays all-hit; a gate that *raised* is never cached
-    (the producer exception propagates before the snapshot is taken).
+    (the producer exception propagates before anything is stored).
     """
 
-    mutates_module = False
     runtime_key = None  # keep the legacy runtime dict unchanged
 
     def __init__(self, after: str, when=None):
@@ -705,15 +713,6 @@ class LintStage(Stage):
             "rules": result.rules_run,
         }
 
-    # read-only stage: snapshot only the result + summary, not the module
-    def snapshot(self, ctx: StageContext, summary: dict) -> object:
-        return (ctx.artifacts.get(self.name), dict(summary))
-
-    def restore(self, ctx: StageContext, payload: object) -> dict[str, object]:
-        result, summary = payload
-        ctx.artifacts[self.name] = result
-        return dict(summary)
-
 
 class ResizeStage(Stage):
     """Post-retiming gate downsizing (Sec. IV-C 'further optimization')."""
@@ -730,6 +729,7 @@ class ResizeStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.synth.sizing import downsize_gates
 
+        ctx.module = ctx.module.copy()
         report = downsize_gates(ctx.module, ctx.clocks, ctx.library)
         return {"downsized": report.downsized}
 
@@ -750,6 +750,7 @@ class HoldFixStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.timing.hold_fix import fix_holds
 
+        ctx.module = ctx.module.copy()
         report = fix_holds(
             ctx.module, ctx.clocks, ctx.library,
             clock_uncertainty=ctx.options.clock_uncertainty,
@@ -778,6 +779,7 @@ class PnrStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.pnr import place_and_route
 
+        ctx.module = ctx.module.copy()
         t0 = time.monotonic()
         physical = place_and_route(ctx.module, ctx.library)
         wall = time.monotonic() - t0
@@ -828,7 +830,6 @@ class VerifyStage(Stage):
     name = "verify"
     inputs = ("clocks",)
     produces = ("verify", "equivalence")
-    mutates_module = False
 
     def enabled(self, options: "FlowOptions") -> bool:
         return options.verify
@@ -865,16 +866,6 @@ class VerifyStage(Stage):
             "cone_cache_hits": result.cache_hits,
             "solver_conflicts": result.conflicts,
         }
-
-    # read-only stage: snapshot only the result + summary, not the module
-    def snapshot(self, ctx: StageContext, summary: dict) -> object:
-        return (ctx.artifacts.get("verify"), dict(summary))
-
-    def restore(self, ctx: StageContext, payload: object) -> dict[str, object]:
-        result, summary = payload
-        ctx.artifacts["verify"] = result
-        ctx.artifacts["equivalence"] = result
-        return dict(summary)
 
 
 class SimulateStage(Stage):

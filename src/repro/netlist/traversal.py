@@ -126,6 +126,22 @@ def _net_to_ff_masks(module: Module, seq_names: list[str]) -> dict[str, int]:
     return mask
 
 
+def _fanout_graph(module: Module, regs: list[str]) -> FFGraph:
+    """The combinational reachability graph over the registers ``regs``."""
+    masks = _net_to_ff_masks(module, regs)
+    graph = FFGraph(ffs=regs)
+    for name in regs:
+        q_net = module.instances[name].conns.get("Q")
+        bits = masks[q_net] if q_net is not None else 0
+        graph.fanout[name] = {regs[i] for i in _bit_indices(bits)}
+
+    pi_bits = 0
+    for port in module.data_input_ports():
+        pi_bits |= masks[port]
+    graph.pi_fanout = {regs[i] for i in _bit_indices(pi_bits)}
+    return graph
+
+
 def ff_fanout_map(module: Module) -> FFGraph:
     """Extract the FF graph the conversion ILP is formulated over.
 
@@ -133,23 +149,7 @@ def ff_fanout_map(module: Module) -> FFGraph:
     ICG enable pins (an enable path is not a data path).  Primary-input
     reachability covers all non-clock input ports.
     """
-    ffs = [inst.name for inst in module.flip_flops()]
-    masks = _net_to_ff_masks(module, ffs)
-
-    graph = FFGraph(ffs=ffs, fanout={name: set() for name in ffs})
-    for name in ffs:
-        inst = module.instances[name]
-        q_net = inst.conns.get("Q")
-        if q_net is None:
-            continue
-        bits = masks[q_net]
-        graph.fanout[name] = {ffs[i] for i in _bit_indices(bits)}
-
-    pi_bits = 0
-    for port in module.data_input_ports():
-        pi_bits |= masks[port]
-    graph.pi_fanout = {ffs[i] for i in _bit_indices(pi_bits)}
-    return graph
+    return _fanout_graph(module, [inst.name for inst in module.flip_flops()])
 
 
 def seq_fanout_map(module: Module) -> FFGraph:
@@ -157,35 +157,19 @@ def seq_fanout_map(module: Module) -> FFGraph:
 
     After conversion the state elements are latches, so the phase-legality
     lint rules need latch-to-latch (and mixed FF/latch) combinational
-    reachability; the bitmask sweep is shared with the FF-only variant.
+    reachability.
     """
-    seqs = [inst.name for inst in module.sequential_instances()]
-    masks = _net_to_ff_masks(module, seqs)
-
-    graph = FFGraph(ffs=seqs, fanout={name: set() for name in seqs})
-    for name in seqs:
-        inst = module.instances[name]
-        q_net = inst.conns.get("Q")
-        if q_net is None:
-            continue
-        bits = masks[q_net]
-        graph.fanout[name] = {seqs[i] for i in _bit_indices(bits)}
-
-    pi_bits = 0
-    for port in module.data_input_ports():
-        pi_bits |= masks[port]
-    graph.pi_fanout = {seqs[i] for i in _bit_indices(pi_bits)}
-    return graph
+    return _fanout_graph(
+        module, [inst.name for inst in module.sequential_instances()])
 
 
 def _bit_indices(bits: int) -> list[int]:
+    """Indices of the set bits of ``bits``, ascending, in O(popcount)."""
     out = []
-    i = 0
     while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
     return out
 
 

@@ -56,6 +56,7 @@ class _Sabotage(Stage):
     name = "sabotage"
 
     def run(self, ctx):
+        ctx.module = ctx.module.copy()
         inst = next(iter(ctx.module.instances.values()))
         pin = inst.cell.input_pins[0]
         net = ctx.module.nets[inst.conns[pin]]
