@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from repro.circuits import build, names, spec
-from repro.flow import FlowOptions, compare_styles
+from repro.flow import STYLES, FlowOptions, compare_styles
 from repro.reporting import (
     format_fig4,
     format_runtime,
@@ -43,8 +44,31 @@ def _positive_int(text: str) -> int:
             f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(
-            f"must be a positive integer (1 = sequential), got {value}")
+            f"must be a positive integer, got {value}")
     return value
+
+
+def _cycles(text: str) -> int:
+    """A simulation budget: it must outlast the flow's activity warm-up."""
+    value = _positive_int(text)
+    warmup = FlowOptions.warmup_cycles
+    if value <= warmup:
+        raise argparse.ArgumentTypeError(
+            f"must exceed the {warmup}-cycle warm-up, got {value}")
+    return value
+
+
+class _UnknownDesign(Exception):
+    """An unregistered design name.  Deliberately not an argparse error:
+    it passes through ``parse_args`` so :func:`main` reports it in one
+    line and returns 2 rather than exiting."""
+
+
+def _design(text: str) -> str:
+    if text not in names():
+        raise _UnknownDesign(
+            f"unknown benchmark {text!r}; available: {', '.join(names())}")
+    return text
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -123,12 +147,28 @@ def _with_observability(args: argparse.Namespace, body) -> int:
     return status
 
 
+def _add_gate_args(parser: argparse.ArgumentParser, verb: str,
+                   findings: str) -> None:
+    """The flags ``repro lint`` and ``repro verify`` share."""
+    parser.add_argument("design", type=_design)
+    parser.add_argument("--style", choices=STYLES + ("all",),
+                        default="3p",
+                        help=f"which conversion style(s) to {verb} "
+                             f"(default 3p)")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="report format (default text)")
+    parser.add_argument("--fail-on", choices=("info", "warn", "error"),
+                        default="error", dest="fail_on",
+                        help=f"exit 1 when {findings} reach this severity "
+                             f"(default error)")
+
+
 def _add_selection_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--suite", choices=("iscas", "cep", "cpu"),
                         help="limit to one benchmark suite")
-    parser.add_argument("--designs", nargs="+", metavar="NAME",
+    parser.add_argument("--designs", nargs="+", metavar="NAME", type=_design,
                         help="explicit design list")
-    parser.add_argument("--cycles", type=int, default=None,
+    parser.add_argument("--cycles", type=_cycles, default=None,
                         help="override measurement cycles (smaller = faster)")
     _add_sim_lanes_arg(parser)
     _add_jobs_arg(parser)
@@ -257,26 +297,52 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     return _with_observability(args, body)
 
 
+def _run_gates(args: argparse.Namespace, stages, collect, render, noun: str,
+               cache, **options) -> int:
+    """The shared body of ``repro lint`` and ``repro verify``.
+
+    Runs the ``stages(style)`` chain of every requested style against
+    one ``cache`` (so synthesis is shared), with the benchmark's flow
+    options plus ``options``; gathers ``collect(ctx)`` results, prints
+    them with ``render[args.format]``, and returns the CLI contract's
+    exit code (see docs/verify.md): 0 clean, 1 when findings reach
+    ``--fail-on``.  The lint gates run with ``fail_on`` disabled: they
+    report, the CLI decides.
+    """
+    from repro.flow import Pipeline
+
+    bench = spec(args.design)
+    base = FlowOptions(period=bench.period, profile=bench.workload,
+                       lint_fail_on=None, **options)
+    module = build(args.design)
+    styles = STYLES if args.style == "all" else (args.style,)
+    results = []
+    for style in styles:
+        ctx = Pipeline(stages(style)).run(
+            module.copy(), replace(base, style=style), cache=cache)
+        results.extend(collect(ctx))
+    print(render[args.format](args.design, results))
+    failed = sum(r.count_at_least(args.fail_on) for r in results)
+    if failed:
+        _progress(f"{args.command}: {failed} {noun} at/above "
+                  f"--fail-on {args.fail_on}")
+        return 1
+    return 0
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     return _with_observability(args, lambda: _lint_one(args))
 
 
 def _lint_one(args: argparse.Namespace) -> int:
-    from repro.flow import ArtifactCache, Pipeline, build_lint_stages
+    from repro.flow import ArtifactCache, build_lint_stages
     from repro.lint import (
         apply_waivers,
         format_findings_json,
         format_findings_text,
         load_waivers,
-        severity_rank,
     )
-    from dataclasses import replace
 
-    try:
-        bench = spec(args.design)
-    except KeyError as exc:
-        _progress(f"error: {exc.args[0]}")
-        return 2
     waivers = ()
     if args.waivers:
         try:
@@ -285,40 +351,16 @@ def _lint_one(args: argparse.Namespace) -> int:
             _progress(f"error: {exc}")
             return 2
 
-    module = build(args.design)
-    styles = ("ff", "ms", "3p", "pulsed") if args.style == "all" \
-        else (args.style,)
-    # gates report, the CLI decides: collect findings across all gates
-    # and apply --fail-on at the end instead of aborting mid-chain
-    base = FlowOptions(period=bench.period, profile=bench.workload,
-                       lint_fail_on=None)
-    cache = ArtifactCache()  # share synth etc. across the style runs
-    results = []
-    for style in styles:
-        options = replace(base, style=style)
-        ctx = Pipeline(build_lint_stages(style)).run(
-            module.copy(), options, cache=cache)
-        for record in ctx.records:
-            if record.stage.startswith("lint_"):
-                result = ctx.artifacts.get(record.stage)
-                if result is not None:
-                    results.append(apply_waivers(result, waivers))
+    def collect(ctx):
+        return [apply_waivers(ctx.artifacts[record.stage], waivers)
+                for record in ctx.records
+                if record.stage.startswith("lint_")
+                and ctx.artifacts.get(record.stage) is not None]
 
-    if args.format == "json":
-        print(format_findings_json(args.design, results))
-    else:
-        print(format_findings_text(args.design, results))
-
-    floor = severity_rank(args.fail_on)
-    failed = sum(
-        1 for result in results for finding in result.findings
-        if severity_rank(finding.severity) >= floor
-    )
-    if failed:
-        _progress(f"lint: {failed} finding(s) at/above "
-                  f"--fail-on {args.fail_on}")
-        return 1
-    return 0
+    return _run_gates(
+        args, build_lint_stages, collect,
+        {"text": format_findings_text, "json": format_findings_json},
+        "finding(s)", ArtifactCache())
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -326,52 +368,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_one(args: argparse.Namespace) -> int:
-    # Shares the CLI contract of `repro lint` (see docs/verify.md):
-    # exit 0 clean, 1 findings at/above --fail-on, 2 usage error;
-    # --format json prints one design-level JSON envelope on stdout.
-    from dataclasses import replace
-
-    from repro.flow import ArtifactCache, Pipeline
+    from repro.flow import ArtifactCache
     from repro.flow.diskcache import DiskCache
     from repro.flow.pipeline import build_verify_stages
     from repro.verify import format_verify_json, format_verify_text
 
-    try:
-        bench = spec(args.design)
-    except KeyError as exc:
-        _progress(f"error: {exc.args[0]}")
-        return 2
-
-    module = build(args.design)
-    styles = ("ff", "ms", "3p", "pulsed") if args.style == "all" \
-        else (args.style,)
-    # the gate reports, the CLI decides: run with fail_on disabled and
-    # apply --fail-on over the collected results at the end
-    base = FlowOptions(period=bench.period, profile=bench.workload,
-                       verify=True, verify_fail_on=None, lint_fail_on=None,
-                       verify_conflict_budget=args.conflict_budget)
-    disk = DiskCache(args.cache_dir) if args.cache_dir else None
-    cache = ArtifactCache(disk=disk)  # shares synth + cone verdicts
-    results = []
-    for style in styles:
-        options = replace(base, style=style)
-        ctx = Pipeline(build_verify_stages(style)).run(
-            module.copy(), options, cache=cache)
+    def collect(ctx):
         result = ctx.artifacts.get("verify")
-        if result is not None:
-            results.append(result)
+        return [result] if result is not None else []
 
-    if args.format == "json":
-        print(format_verify_json(args.design, results))
-    else:
-        print(format_verify_text(args.design, results))
-
-    failed = sum(r.count_at_least(args.fail_on) for r in results)
-    if failed:
-        _progress(f"verify: {failed} cone(s) at/above "
-                  f"--fail-on {args.fail_on}")
-        return 1
-    return 0
+    disk = DiskCache(args.cache_dir) if args.cache_dir else None
+    # one cache shares synthesis and, on disk, the per-cone verdicts
+    return _run_gates(
+        args, build_verify_stages, collect,
+        {"text": format_verify_text, "json": format_verify_json},
+        "cone(s)", ArtifactCache(disk=disk),
+        verify=True, verify_fail_on=None,
+        verify_conflict_budget=args.conflict_budget)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -608,8 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list)
 
     run = sub.add_parser("run", help="run one design in all three styles")
-    run.add_argument("design")
-    run.add_argument("--cycles", type=int, default=None)
+    run.add_argument("design", type=_design)
+    run.add_argument("--cycles", type=_cycles, default=None)
     _add_sim_lanes_arg(run)
     _add_jobs_arg(run)
     _add_obs_args(run)
@@ -629,19 +642,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="statically verify a design's netlists (phase legality, "
              "clock-gating safety, structure) across the flow's stages")
-    lint.add_argument("design")
-    lint.add_argument("--style", choices=("ff", "ms", "3p", "pulsed", "all"),
-                      default="3p",
-                      help="which conversion style(s) to lint (default 3p)")
-    lint.add_argument("--format", choices=("text", "json"), default="text",
-                      help="report format (default text)")
+    _add_gate_args(lint, "lint", "findings")
     lint.add_argument("--waivers", metavar="FILE", default=None,
                       help="waiver file: 'rule-glob [where-glob]' per line; "
                            "waived findings are reported but don't fail")
-    lint.add_argument("--fail-on", choices=("info", "warn", "error"),
-                      default="error", dest="fail_on",
-                      help="exit 1 when findings reach this severity "
-                           "(default error)")
     _add_obs_args(lint)
     lint.set_defaults(func=_cmd_lint)
 
@@ -649,18 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify",
         help="formally prove a design's conversions equivalent to the FF "
              "reference (per-cone SAT miters; see docs/verify.md)")
-    verify.add_argument("design")
-    verify.add_argument("--style",
-                        choices=("ff", "ms", "3p", "pulsed", "all"),
-                        default="3p",
-                        help="which conversion style(s) to check "
-                             "(default 3p)")
-    verify.add_argument("--format", choices=("text", "json"), default="text",
-                        help="report format (default text)")
-    verify.add_argument("--fail-on", choices=("info", "warn", "error"),
-                        default="error", dest="fail_on",
-                        help="exit 1 when cone findings reach this severity "
-                             "(default error)")
+    _add_gate_args(verify, "check", "cone findings")
     verify.add_argument("--conflict-budget", type=_positive_int,
                         default=200_000, metavar="N", dest="conflict_budget",
                         help="CDCL conflicts allowed per cone before it "
@@ -779,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     fig4 = sub.add_parser("fig4", help="regenerate Fig. 4 (CPU workloads)")
-    fig4.add_argument("--cycles", type=int, default=None)
+    fig4.add_argument("--cycles", type=_cycles, default=None)
     fig4.set_defaults(func=_cmd_fig4)
 
     convert = sub.add_parser(
@@ -795,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser(
         "schedule",
         help="SMO-optimal phase schedule for a converted benchmark")
-    schedule.add_argument("design")
+    schedule.add_argument("design", type=_design)
     schedule.add_argument(
         "--probes", type=_positive_int, default=1, metavar="K",
         help="candidate periods evaluated per minimum-period search step "
@@ -810,7 +803,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UnknownDesign as exc:
+        _progress(f"error: {exc}")
+        return 2
     return args.func(args)
 
 

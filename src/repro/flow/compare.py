@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 from repro.flow.design_flow import DesignResult, FlowOptions
 from repro.flow.pipeline import ArtifactCache
-from repro.flow.scheduler import JobScheduler, default_cache
+from repro.flow.scheduler import JobScheduler
 from repro.netlist.core import Module
 from repro.power.model import savings
-
-#: compat alias; the helper moved to :mod:`repro.flow.scheduler`.
-_default_cache = default_cache
 
 
 @dataclass
@@ -102,7 +99,6 @@ def compare_styles(
     cache: ArtifactCache | None = None,
     executor: str | None = None,
     cache_dir: str | None = None,
-    **overrides,
 ) -> StyleComparison:
     """Run all three flows on ``design`` with shared options.
 
@@ -118,7 +114,7 @@ def compare_styles(
     daemon drives the very same scheduler, so CLI and service results
     are the same bits.
     """
-    base = options if options is not None else FlowOptions(**overrides)
+    base = options if options is not None else FlowOptions()
     with JobScheduler(jobs=jobs, executor=executor, cache_dir=cache_dir,
                       cache=cache) as scheduler:
         return scheduler.compare(design, base)

@@ -14,9 +14,9 @@ The heavy lifting lives in :mod:`repro.flow.pipeline`: each style is a
 chain of :class:`~repro.flow.pipeline.Stage` objects run by a
 :class:`~repro.flow.pipeline.Pipeline`, which records a
 :class:`~repro.flow.pipeline.StageRecord` (wall time, artifact digests,
-cache hit/miss) per step — the source of the Sec. V runtime comparison
-(ILP share, CTS ratio, ...).  ``run_flow`` is the compatibility wrapper
-that assembles the pipeline's artifacts into a :class:`DesignResult`.
+cache hit/miss, ``stage.run`` seconds) per step — the source of the
+Sec. V runtime comparison (ILP share, CTS ratio, ...).  ``run_flow``
+assembles the pipeline's artifacts into a :class:`DesignResult`.
 """
 
 from __future__ import annotations
@@ -88,6 +88,14 @@ class FlowOptions:
     lint_fail_on: str | None = "error"
     library: Library = field(default_factory=lambda: FDSOI28)
 
+    def __post_init__(self) -> None:
+        # power is measured over sim_cycles - warmup_cycles: reject an
+        # empty window here rather than after the whole flow has run
+        if self.sim_cycles <= self.warmup_cycles:
+            raise ValueError(
+                f"sim_cycles ({self.sim_cycles}) must exceed "
+                f"warmup_cycles ({self.warmup_cycles})")
+
 
 @dataclass
 class DesignResult:
@@ -103,14 +111,11 @@ class DesignResult:
     area: float
     power: PowerReport
     timing: TimingReport
-    runtime: dict[str, float] = field(default_factory=dict)
     assignment: PhaseAssignment | None = None
     retime: RetimeResult | None = None
     cg: CgReport | None = None
-    #: formal gate result (``repro.verify.VerifyResult``); ``equivalence``
-    #: aliases it for callers of the historical sim-based field.
+    #: formal gate result (``repro.verify.VerifyResult``).
     verify: "object | None" = None
-    equivalence: "object | None" = None
     hold: "HoldFixReport | None" = None
     physical: PhysicalDesign | None = None
     #: per-stage pipeline telemetry (empty for hand-built results).
@@ -122,10 +127,6 @@ class DesignResult:
     def registers(self) -> int:
         return self.stats.registers
 
-    @property
-    def total_runtime(self) -> float:
-        return sum(self.runtime.values())
-
     def stage_record(self, name: str) -> StageRecord | None:
         """The telemetry record of stage ``name``, if it ran."""
         for record in self.stages:
@@ -133,37 +134,21 @@ class DesignResult:
                 return record
         return None
 
-    def stage_seconds(self, key: str) -> float:
-        """Seconds charged to legacy runtime key ``key``.
-
-        Prefers the pipeline's :class:`StageRecord` telemetry; falls
-        back to the ``runtime`` dict for results built without one.
-        """
-        if self.stages:
-            return sum(
-                record.runtime_keys.get(key, 0.0) for record in self.stages
-            )
-        return self.runtime.get(key, 0.0)
-
 
 def run_flow(
     design: Module,
     options: FlowOptions | None = None,
     cache: ArtifactCache | None = None,
     parent_span: int | None = None,
-    **overrides,
 ) -> DesignResult:
     """Implement ``design`` per ``options`` and measure area/power/timing.
 
-    Compatibility wrapper over the staged pipeline: builds the style's
-    stage chain, runs it (against ``cache`` if given, so repeated runs
-    share e.g. the synthesis artifact), and packs the context into the
-    same :class:`DesignResult` the monolithic flow used to return.
+    Builds the style's stage chain, runs it (against ``cache`` if given,
+    so repeated runs share e.g. the synthesis artifact), and packs the
+    context into a :class:`DesignResult`.
     """
     if options is None:
-        options = FlowOptions(**overrides)
-    elif overrides:
-        raise ValueError("pass either options or keyword overrides, not both")
+        options = FlowOptions()
     if options.style not in STYLES:
         raise ValueError(f"unknown style {options.style!r}")
 
@@ -181,12 +166,10 @@ def run_flow(
         area=module.total_area(),
         power=ctx.artifacts["power"],
         timing=ctx.artifacts["timing"],
-        runtime=ctx.runtime,
         assignment=ctx.artifacts.get("assignment"),
         retime=ctx.artifacts.get("retime"),
         cg=ctx.artifacts.get("cg"),
         verify=ctx.artifacts.get("verify"),
-        equivalence=ctx.artifacts.get("equivalence"),
         hold=ctx.artifacts.get("hold"),
         physical=physical,
         stages=ctx.records,

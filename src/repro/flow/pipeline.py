@@ -8,7 +8,8 @@ hand-rolled per step:
 
 * **telemetry** -- every executed stage emits a :class:`StageRecord`
   (wall time, input/output netlist digests, cache hit/miss, per-stage
-  summary), the raw material of the Sec. V runtime comparison;
+  summary, and the seconds ``stage.run`` itself took), the raw
+  material of the Sec. V runtime comparison;
 * **caching** -- stages that declare an options key are memoized in a
   content-addressed :class:`ArtifactCache` keyed on (stage, library,
   input-netlist digest, options), so ``compare_styles`` synthesizes a
@@ -16,10 +17,7 @@ hand-rolled per step:
   mutates the :class:`Module` it is handed (editing stages copy it
   first), so cached netlists are shared by reference and a stage that
   hands on the very object it received is known not to have changed
-  it: its output digest is its input digest;
-* **compatibility** -- each stage maps its measured time onto the legacy
-  ``DesignResult.runtime`` keys, so existing reports and tests see the
-  same dict they always did.
+  it: its output digest is its input digest.
 
 Stage chains are linear per style (a degenerate DAG); ``inputs`` /
 ``produces`` declare the artifact flow so the runner can check wiring
@@ -101,9 +99,10 @@ class StageRecord:
     output_digest: str
     #: True when the stage's artifact came out of the cache.
     cache_hit: bool = False
-    #: the stage's contribution to the legacy ``DesignResult.runtime``
-    #: dict (e.g. the P&R stage reports ``place``/``cts``/``route``).
-    runtime_keys: Mapping[str, float] = field(default_factory=dict)
+    #: seconds the producing ``stage.run`` took.  A cache hit replays
+    #: the producer's figure, so a warm run still reports the stage's
+    #: productive cost (what the Sec. V runtime ratios are built from).
+    run_s: float = 0.0
     #: stage-specific facts (solver used, latches added, ...).
     summary: Mapping[str, object] = field(default_factory=dict)
 
@@ -118,7 +117,7 @@ class ArtifactCache:
     Keys are ``(stage name, library name, design digest, clocks key,
     input digest, options key)``; values are the runner's payloads
     ``(module or None, output digest, clocks, artifacts, summary,
-    runtime keys)``.  The module is held by reference, not copied, and
+    run_s)``.  The module is held by reference, not copied, and
     is None for stages that hand on their input netlist unchanged; every
     consumer shares it read-only.  Lookups are single-flight: concurrent
     misses on one key run the producer exactly once, which is what lets
@@ -233,9 +232,6 @@ class ArtifactCache:
 # ---------------------------------------------------------------------------
 # stage protocol
 
-#: sentinel: "this stage's legacy runtime key is its stage name".
-_SAME_AS_NAME = "<stage-name>"
-
 
 @dataclass
 class StageContext:
@@ -260,22 +256,12 @@ class StageContext:
     #: stages (the lint gates) digest-free.
     module_digest: str | None = None
 
-    @property
-    def runtime(self) -> dict[str, float]:
-        """Legacy per-step runtime dict assembled from the records."""
-        out: dict[str, float] = {}
-        for record in self.records:
-            for key, seconds in record.runtime_keys.items():
-                out[key] = out.get(key, 0.0) + seconds
-        return out
-
 
 class Stage:
     """One pass of the flow.
 
-    Subclasses set ``name`` (also the default legacy runtime key),
-    declare the artifacts they consume/produce, and implement
-    :meth:`run`.  ``run`` never mutates the :class:`Module` it is
+    Subclasses set ``name``, declare the artifacts they consume/produce,
+    and implement :meth:`run`.  ``run`` never mutates the :class:`Module` it is
     handed: a stage that edits the netlist starts with ``ctx.module =
     ctx.module.copy()`` (or builds a fresh module), because the handed
     module may be shared with the cache and with other style runs.  A
@@ -290,14 +276,6 @@ class Stage:
     #: artifact names consumed / produced (documentation + wiring check).
     inputs: tuple[str, ...] = ()
     produces: tuple[str, ...] = ()
-    #: key under which the stage's time lands in ``DesignResult.runtime``;
-    #: None keeps the stage out of the legacy dict (StageRecord only) and
-    #: the default sentinel resolves to the stage name.
-    runtime_key: str | None = _SAME_AS_NAME
-
-    def __init__(self) -> None:
-        if self.runtime_key == _SAME_AS_NAME:
-            self.runtime_key = self.name
 
     def enabled(self, options: "FlowOptions") -> bool:
         return True
@@ -371,10 +349,14 @@ class Pipeline:
                 return None, input_digest
             return ctx.module, module_digest(ctx.module)
 
+        def timed_run() -> tuple[dict[str, object], float]:
+            p0 = time.monotonic()
+            summary = stage.run(ctx)
+            return summary, time.monotonic() - p0
+
         output_digest: str | None = None
         hit = False
         lock_wait: float | None = None
-        runtime_keys: Mapping[str, float] | None = None
         okey = stage.options_key(ctx.options)
         with obs.span(f"stage.{stage.name}", stage=stage.name,
                       style=ctx.options.style, design=ctx.design.name) as sp:
@@ -389,27 +371,16 @@ class Pipeline:
                        clocks_key(ctx.clocks), input_digest, okey)
 
                 def produce() -> object:
-                    p0 = time.monotonic()
-                    summary = stage.run(ctx)
-                    producer_wall = time.monotonic() - p0
-                    # Runtime keys ride in the payload: a cache hit must
-                    # still report the stage's *productive* cost (the
-                    # Sec. V runtime ratios would collapse to noise on a
-                    # warm run otherwise), and stages like P&R publish
-                    # sub-step keys the hit path could not recompute.
-                    rkeys = ctx.artifacts.pop("_runtime_keys", None)
-                    if rkeys is None:
-                        rkeys = (
-                            {stage.runtime_key: producer_wall}
-                            if stage.runtime_key else {}
-                        )
+                    # run_s rides in the payload: a cache hit must still
+                    # report the stage's *productive* cost, or the Sec. V
+                    # runtime ratios collapse to noise on a warm run.
+                    summary, run_s = timed_run()
                     arts = {k: ctx.artifacts.get(k) for k in stage.produces}
                     return (*handed_on(), ctx.clocks, arts, dict(summary),
-                            dict(rkeys))
+                            run_s)
 
                 payload, hit, lock_wait = ctx.cache.get_or_run(key, produce)
-                (module, output_digest, clocks, arts, summary,
-                 runtime_keys) = payload
+                module, output_digest, clocks, arts, summary, run_s = payload
                 # Install by reference: a hit costs no copy and no hash.
                 if module is not None:
                     ctx.module = module
@@ -418,7 +389,7 @@ class Pipeline:
                 ctx.artifacts.update(arts)
                 summary = dict(summary)
             else:
-                summary = stage.run(ctx)
+                summary, run_s = timed_run()
             wall = time.monotonic() - t0
             if window is not None:
                 summary = {**summary, **window.close()}
@@ -434,12 +405,6 @@ class Pipeline:
                 **{k: v for k, v in summary.items()
                    if isinstance(v, (int, float, str, bool))},
             )
-            if runtime_keys is None:
-                runtime_keys = ctx.artifacts.pop("_runtime_keys", None)
-                if runtime_keys is None:
-                    runtime_keys = (
-                        {stage.runtime_key: wall} if stage.runtime_key else {}
-                    )
             if output_digest is None:
                 output_digest = handed_on()[1]
             ctx.module_digest = output_digest
@@ -449,7 +414,7 @@ class Pipeline:
                 input_digest=input_digest,
                 output_digest=output_digest,
                 cache_hit=hit,
-                runtime_keys=runtime_keys,
+                run_s=run_s,
                 summary=summary,
             ))
 
@@ -492,7 +457,6 @@ class SingleClockStage(Stage):
 
     name = "clocks"
     produces = ("clocks",)
-    runtime_key = None  # trivial; keep the legacy runtime dict unchanged
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return (options.period,)
@@ -599,7 +563,6 @@ class RetimeStage(Stage):
     produces = ("retime",)
 
     def __init__(self, movable_phase: str | None = None):
-        super().__init__()
         self.movable_phase = movable_phase
 
     def enabled(self, options: "FlowOptions") -> bool:
@@ -661,14 +624,11 @@ class LintStage(Stage):
     (the producer exception propagates before anything is stored).
     """
 
-    runtime_key = None  # keep the legacy runtime dict unchanged
-
     def __init__(self, after: str, when=None):
         self.after = after
         self.name = f"lint_{after}"
         self.produces = (self.name,)
         self.when = when
-        super().__init__()
 
     def enabled(self, options: "FlowOptions") -> bool:
         return options.lint and (self.when is None or self.when(options))
@@ -762,16 +722,14 @@ class HoldFixStage(Stage):
 class PnrStage(Stage):
     """Placement, per-phase CTS, and routing estimation.
 
-    The StageRecord's ``wall_time`` is the authoritative top-level P&R
-    time (the old flow started a timer here and never read it); the
-    legacy runtime keys come from the sub-step timers, with a ``pnr``
-    fallback if the physical flow ever reports none.
+    The per-step times (``place``/``cts``/``route``) live in the cached
+    ``physical`` artifact's ``runtime``, which is where the Sec. V CTS
+    and routing ratios read them.
     """
 
     name = "pnr"
     inputs = ("clocks",)
     produces = ("physical",)
-    runtime_key = None  # legacy keys come from physical.runtime
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return ()
@@ -780,13 +738,9 @@ class PnrStage(Stage):
         from repro.pnr import place_and_route
 
         ctx.module = ctx.module.copy()
-        t0 = time.monotonic()
         physical = place_and_route(ctx.module, ctx.library)
-        wall = time.monotonic() - t0
         ctx.artifacts["physical"] = physical
-        keys = dict(physical.runtime) or {"pnr": wall}
-        ctx.artifacts["_runtime_keys"] = keys
-        return {"steps": sorted(keys)}
+        return {"steps": sorted(physical.runtime)}
 
 
 class StaStage(Stage):
@@ -829,7 +783,7 @@ class VerifyStage(Stage):
 
     name = "verify"
     inputs = ("clocks",)
-    produces = ("verify", "equivalence")
+    produces = ("verify",)
 
     def enabled(self, options: "FlowOptions") -> bool:
         return options.verify
@@ -851,7 +805,6 @@ class VerifyStage(Stage):
         )
         result = checker.check()
         ctx.artifacts["verify"] = result
-        ctx.artifacts["equivalence"] = result
         fail_on = options.verify_fail_on
         if fail_on is not None and result.count_at_least(fail_on) > 0:
             raise VerifyGateError(self.name, result, fail_on)
@@ -880,48 +833,14 @@ class SimulateStage(Stage):
                 options.seed, options.sim_delay_model, options.sim_lanes)
 
     def run(self, ctx: StageContext) -> dict[str, object]:
-        from repro.sim import (
-            generate_batch_stimulus,
-            generate_vectors,
-            run_batch_testbench,
-            run_testbench,
-        )
-
         options = ctx.options
-        if options.sim_lanes > 1:
-            # one word-packed pass; downstream power reads the simulator's
-            # lane-averaged toggles dict through the same contract
-            stimulus = generate_batch_stimulus(
-                ctx.design, options.sim_cycles,
-                profile=options.profile, seed=options.seed,
-                lanes=options.sim_lanes,
-            )
-            bench = run_batch_testbench(
-                ctx.module, ctx.clocks, stimulus,
-                delay_model=options.sim_delay_model,
-                activity_warmup=options.warmup_cycles,
-            )
-        else:
-            vectors = generate_vectors(
-                ctx.design, options.sim_cycles,
-                profile=options.profile, seed=options.seed,
-            )
-            bench = run_testbench(
-                ctx.module, ctx.clocks, vectors,
-                delay_model=options.sim_delay_model,
-                activity_warmup=options.warmup_cycles,
-            )
+        bench, stats = _simulate(
+            ctx.design, ctx.module, ctx.clocks, options, options.sim_cycles,
+            delay_model=options.sim_delay_model,
+            warmup=options.warmup_cycles,
+        )
         ctx.artifacts["bench"] = bench
-        sim = bench.simulator
-        summary = {
-            "cycles": options.sim_cycles,
-            "sim_events": sim.events_processed,
-            "sim_compile_s": round(sim.compile_seconds, 6),
-            "sim_events_per_s": round(sim.events_per_second, 1),
-        }
-        if options.sim_lanes > 1:
-            summary["sim_lanes"] = options.sim_lanes
-        return summary
+        return {"cycles": options.sim_cycles, **stats}
 
 
 class PowerStage(Stage):
@@ -930,7 +849,6 @@ class PowerStage(Stage):
     name = "power"
     inputs = ("bench", "physical")
     produces = ("power",)
-    runtime_key = None  # the legacy flow never timed power separately
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return (options.sim_cycles, options.warmup_cycles, options.period)
@@ -952,6 +870,51 @@ class PowerStage(Stage):
         return {"total_mw": power.total}
 
 
+def _simulate(
+    source: Module, module: Module, clocks: ClockSpec, options: "FlowOptions",
+    cycles: int, delay_model: str, warmup: int,
+) -> tuple[object, dict[str, object]]:
+    """Simulate ``module`` on ``cycles`` cycles of stimulus generated from
+    ``source``'s ports, collecting toggle activity after ``warmup``.
+
+    With ``options.sim_lanes > 1`` this is one word-packed batch pass
+    whose simulator exposes lane-averaged toggles through the same
+    contract.  Returns the testbench and the kernel throughput stats for
+    the stage's :class:`StageRecord` summary.
+    """
+    from repro.sim import (
+        generate_batch_stimulus,
+        generate_vectors,
+        run_batch_testbench,
+        run_testbench,
+    )
+
+    lanes = options.sim_lanes
+    if lanes > 1:
+        stimulus = generate_batch_stimulus(
+            source, cycles, profile=options.profile, seed=options.seed,
+            lanes=lanes,
+        )
+        bench = run_batch_testbench(module, clocks, stimulus,
+                                    delay_model=delay_model,
+                                    activity_warmup=warmup)
+    else:
+        vectors = generate_vectors(
+            source, cycles, profile=options.profile, seed=options.seed)
+        bench = run_testbench(module, clocks, vectors,
+                              delay_model=delay_model,
+                              activity_warmup=warmup)
+    sim = bench.simulator
+    stats = {
+        "sim_events": sim.events_processed,
+        "sim_compile_s": round(sim.compile_seconds, 6),
+        "sim_events_per_s": round(sim.events_per_second, 1),
+    }
+    if lanes > 1:
+        stats["sim_lanes"] = lanes
+    return bench, stats
+
+
 def _profile_activity(
     module: Module, clocks: ClockSpec, options: "FlowOptions"
 ) -> tuple[dict[str, int], int, dict[str, object]]:
@@ -961,38 +924,11 @@ def _profile_activity(
     signal activity that drove data-driven clock gating".  Also returns
     kernel throughput stats for the stage's :class:`StageRecord` summary.
     """
-    from repro.sim import (
-        generate_batch_stimulus,
-        generate_vectors,
-        run_batch_testbench,
-        run_testbench,
-    )
-
     warmup = min(8, options.profile_cycles // 4)
-    if options.sim_lanes > 1:
-        stimulus = generate_batch_stimulus(
-            module, options.profile_cycles, profile=options.profile,
-            seed=options.seed, lanes=options.sim_lanes,
-        )
-        bench = run_batch_testbench(module, clocks, stimulus,
-                                    delay_model="unit",
-                                    activity_warmup=warmup)
-    else:
-        vectors = generate_vectors(
-            module, options.profile_cycles, profile=options.profile,
-            seed=options.seed,
-        )
-        bench = run_testbench(module, clocks, vectors, delay_model="unit",
-                              activity_warmup=warmup)
-    sim = bench.simulator
-    stats = {
-        "sim_events": sim.events_processed,
-        "sim_compile_s": round(sim.compile_seconds, 6),
-        "sim_events_per_s": round(sim.events_per_second, 1),
-    }
-    if options.sim_lanes > 1:
-        stats["sim_lanes"] = options.sim_lanes
-    return sim.toggles, options.profile_cycles - warmup, stats
+    bench, stats = _simulate(module, module, clocks, options,
+                             options.profile_cycles, delay_model="unit",
+                             warmup=warmup)
+    return bench.simulator.toggles, options.profile_cycles - warmup, stats
 
 
 # ---------------------------------------------------------------------------

@@ -2,31 +2,50 @@
 
 The paper: the 3-phase flow costs on average +204% runtime vs FF and +44%
 vs M-S; the ILP is at most 27 s and < 1% of the flow; CTS takes ~3x (three
-trees) and routing +35%.  The pipeline emits a
-:class:`~repro.flow.pipeline.StageRecord` per executed stage, so the same
-ratios are computed here from that telemetry (falling back to the legacy
-``runtime`` dict for results built without records).
+trees) and routing +35%.  The same ratios are computed here from the
+pipeline's telemetry: flow and ILP times from each
+:class:`~repro.flow.pipeline.StageRecord`'s ``run_s`` (the producer's
+seconds, replayed on a cache hit), CTS and routing times from P&R's own
+step timers in ``result.physical.runtime``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fnmatch import fnmatchcase
 
 from repro.flow import DesignResult, StyleComparison
 from repro.reporting.paper_data import RUNTIME_CLAIMS
 
+#: Stage-name patterns left out of the flow time: the lint gates (this
+#: reproduction's checks, not steps of the paper's flow), the FF
+#: baseline's trivial clock spec, and power, which the paper's flow
+#: never timed separately.
+UNCOUNTED_STAGES = ("lint_*", "clocks", "power")
 
-def _stage_seconds(result: DesignResult, key: str) -> float:
-    return result.stage_seconds(key)
+
+def counts_toward_flow(stage: str) -> bool:
+    """Whether ``stage``'s ``run_s`` is part of the Sec. V flow time."""
+    return not any(fnmatchcase(stage, pattern)
+                   for pattern in UNCOUNTED_STAGES)
 
 
-def _total_seconds(result: DesignResult) -> float:
-    """Flow wall time under the legacy accounting (sum of runtime keys)."""
-    if result.stages:
-        return sum(
-            sum(record.runtime_keys.values()) for record in result.stages
-        )
-    return result.total_runtime
+def flow_seconds(result: DesignResult) -> float:
+    """The Sec. V flow time of one style run."""
+    return sum(record.run_s for record in result.stages
+               if counts_toward_flow(record.stage))
+
+
+def _ilp_seconds(result: DesignResult) -> float:
+    record = result.stage_record("ilp")
+    return record.run_s if record is not None else 0.0
+
+
+def _pnr_seconds(result: DesignResult, step: str) -> float:
+    """P&R step ``step`` (``place``/``cts``/``route``), from its timers."""
+    if result.physical is None:
+        return 0.0
+    return result.physical.runtime.get(step, 0.0)
 
 
 def _cache_hits(result: DesignResult) -> int:
@@ -54,15 +73,18 @@ def summarize_runtime(results: dict[str, StyleComparison]) -> RuntimeSummary:
     route_overheads: list[float] = []
 
     for name, cmp in results.items():
-        ff_rt = _total_seconds(cmp.ff)
-        ms_rt = _total_seconds(cmp.ms)
+        ff_rt = flow_seconds(cmp.ff)
+        ms_rt = flow_seconds(cmp.ms)
         p3 = cmp.three_phase
-        p3_rt = _total_seconds(p3)
+        p3_rt = flow_seconds(p3)
+        ilp = _ilp_seconds(p3)
+        cts_ff = _pnr_seconds(cmp.ff, "cts")
+        cts_3p = _pnr_seconds(p3, "cts")
         per_design[name] = {
             "ff": ff_rt, "ms": ms_rt, "3p": p3_rt,
-            "ilp": _stage_seconds(p3, "ilp"),
-            "cts_ff": _stage_seconds(cmp.ff, "cts"),
-            "cts_3p": _stage_seconds(p3, "cts"),
+            "ilp": ilp,
+            "cts_ff": cts_ff,
+            "cts_3p": cts_3p,
             "cache_hits": float(
                 _cache_hits(cmp.ff) + _cache_hits(cmp.ms) + _cache_hits(p3)
             ),
@@ -72,15 +94,14 @@ def summarize_runtime(results: dict[str, StyleComparison]) -> RuntimeSummary:
         if ms_rt > 0:
             overhead_ms.append(100.0 * (p3_rt - ms_rt) / ms_rt)
         if p3_rt > 0:
-            ilp_shares.append(_stage_seconds(p3, "ilp") / p3_rt)
-        ilp_abs.append(_stage_seconds(p3, "ilp"))
-        cts_ff = _stage_seconds(cmp.ff, "cts")
+            ilp_shares.append(ilp / p3_rt)
+        ilp_abs.append(ilp)
         if cts_ff > 0:
-            cts_ratios.append(_stage_seconds(p3, "cts") / cts_ff)
-        route_ff = _stage_seconds(cmp.ff, "route")
+            cts_ratios.append(cts_3p / cts_ff)
+        route_ff = _pnr_seconds(cmp.ff, "route")
         if route_ff > 0:
             route_overheads.append(
-                100.0 * (_stage_seconds(p3, "route") - route_ff) / route_ff
+                100.0 * (_pnr_seconds(p3, "route") - route_ff) / route_ff
             )
 
     def avg(values: list[float]) -> float:

@@ -288,32 +288,45 @@ def test_digest_chain_is_pinned(name, style, cached):
 # disk format
 
 
-def test_previous_format_directory_is_never_read(tmp_path, monkeypatch):
-    """Entries written by the v1 format (a ``(snapshot, runtime keys)``
-    pair under v1-hashed paths) are all-miss, and the run that misses
-    them returns the same results as a cache-less run."""
+def _v1_payload(key, value):
+    """v1: a ``(snapshot, runtime keys)`` pair."""
+    module, _digest, clocks, arts, summary, run_s = value
+    return (module, clocks, arts, summary), {key[0]: run_s}
+
+
+def _v2_payload(key, value):
+    """v2: today's tuple, but ending in a runtime-key dict, not run_s."""
+    *head, run_s = value
+    return (*head, {key[0]: run_s})
+
+
+@pytest.mark.parametrize("version,payload", [
+    ("v1", _v1_payload), ("v2", _v2_payload)], ids=["v1", "v2"])
+def test_previous_format_directory_is_never_read(tmp_path, monkeypatch,
+                                                 version, payload):
+    """Entries written by an older format (its payload layout, under its
+    format-hashed paths) are all-miss, and the run that misses them
+    returns the same results as a cache-less run."""
     design = build("s1488")
     options = FlowOptions(period=1000.0, sim_cycles=16)
 
-    class V1Disk(DiskCache):
+    class OldDisk(DiskCache):
         def store(self, key, value):
-            module, _digest, clocks, arts, summary, rkeys = value
-            return super().store(key, ((module, clocks, arts, summary),
-                                       rkeys))
+            return super().store(key, payload(key, value))
 
     with monkeypatch.context() as patch:
-        patch.setattr(diskcache, "DISK_FORMAT", "repro-diskcache-v1")
+        patch.setattr(diskcache, "DISK_FORMAT", f"repro-diskcache-{version}")
         compare_styles(design, options,
-                       cache=ArtifactCache(disk=V1Disk(tmp_path)))
-    v1_entries = DiskCache(tmp_path).stats().entries
-    assert v1_entries > 0
+                       cache=ArtifactCache(disk=OldDisk(tmp_path)))
+    old_entries = DiskCache(tmp_path).stats().entries
+    assert old_entries > 0
 
     disk = DiskCache(tmp_path)
     cache = ArtifactCache(disk=disk)
     warm = compare_styles(design, options, cache=cache)
     assert cache.disk_hits() == 0
     assert disk.load_hits == 0 and disk.dropped_corrupt == 0
-    assert disk.stats().entries == 2 * v1_entries
+    assert disk.stats().entries == 2 * old_entries
 
     reference = compare_styles(design, options)
     assert warm.table_row() == reference.table_row()

@@ -1,33 +1,37 @@
 """summarize_runtime edge cases: empty input, all-cache-hit runs,
-results without runtime_keys (satellite coverage for
-repro.reporting.runtime)."""
+zero-second records (satellite coverage for repro.reporting.runtime)."""
 
 import pytest
 
 from repro.flow import DesignResult, StageRecord, StyleComparison
+from repro.pnr import PhysicalDesign
 from repro.reporting import format_runtime, summarize_runtime
 
 
-def _record(stage, seconds, cache_hit=False, runtime_keys=None):
+def _record(stage, seconds, cache_hit=False):
     return StageRecord(
         stage=stage,
         wall_time=seconds,
         input_digest="0" * 16,
         output_digest="0" * 16,
         cache_hit=cache_hit,
-        runtime_keys={stage: seconds} if runtime_keys is None
-        else runtime_keys,
+        run_s=seconds,
         summary={"lock_wait_s": 0.0} if cache_hit else {},
     )
 
 
-def _result(name, style, records, runtime=None):
-    """Synthetic DesignResult: summarize_runtime only reads stages and
-    the legacy runtime dict, so the heavyweight fields stay None."""
+def _physical(place, cts, route):
+    """P&R result carrying only its step timers (all the report reads)."""
+    return PhysicalDesign(module=None, placement=None, routing=None, cts=None,
+                          runtime={"place": place, "cts": cts, "route": route})
+
+
+def _result(name, style, records, physical=None):
+    """Synthetic DesignResult: summarize_runtime only reads the stage
+    records and ``physical.runtime``, so the heavyweight fields stay None."""
     return DesignResult(
         name=name, style=style, module=None, clocks=None, stats=None,
-        area=0.0, power=None, timing=None,
-        runtime=runtime or {}, stages=records,
+        area=0.0, power=None, timing=None, physical=physical, stages=records,
     )
 
 
@@ -69,13 +73,13 @@ class TestAllCacheHits:
     def _style(self, name, style, scale):
         records = [
             _record("synth", 0.1 * scale, cache_hit=True),
+            _record("lint_synth", 5.0, cache_hit=True),  # not flow time
             _record("ilp", 0.01 * scale, cache_hit=True),
-            _record("pnr", 0.2 * scale, cache_hit=True,
-                    runtime_keys={"place": 0.05 * scale,
-                                  "cts": 0.1 * scale,
-                                  "route": 0.05 * scale}),
+            _record("pnr", 0.2 * scale, cache_hit=True),
+            _record("power", 5.0, cache_hit=True),  # not flow time
         ]
-        return _result(name, style, records)
+        physical = _physical(0.05 * scale, 0.1 * scale, 0.05 * scale)
+        return _result(name, style, records, physical)
 
     def test_cache_hits_counted_and_ratios_survive(self):
         cmp = _comparison(
@@ -86,10 +90,13 @@ class TestAllCacheHits:
         )
         summary = summarize_runtime({"cached": cmp})
         row = summary.per_design["cached"]
-        assert row["cache_hits"] == 9.0
-        assert summary.flow_vs_ff_percent > 0
+        assert row["cache_hits"] == 15.0
+        assert row["ff"] == pytest.approx(0.31)
+        assert row["ilp"] == pytest.approx(0.03)
+        assert summary.flow_vs_ff_percent == pytest.approx(200.0)
         assert summary.cts_ratio_vs_ff == pytest.approx(3.0)
-        assert "cached stages 9" in format_runtime(summary)
+        assert summary.route_vs_ff_percent == pytest.approx(200.0)
+        assert "cached stages 15" in format_runtime(summary)
 
     def test_all_hit_lock_wait_present(self):
         result = self._style("cached", "3p", 1.0)
@@ -97,30 +104,20 @@ class TestAllCacheHits:
             assert record.summary["lock_wait_s"] >= 0.0
 
 
-class TestMissingRuntimeKeys:
-    def test_records_without_runtime_keys(self):
-        records = [_record("synth", 0.5, runtime_keys={}),
-                   _record("sta", 0.2, runtime_keys={})]
+class TestZeroSeconds:
+    def test_records_with_zero_run_s(self):
+        records = [_record("synth", 0.0), _record("sta", 0.0)]
+        physical = _physical(0.0, 0.0, 0.0)
         cmp = _comparison(
             "bare",
-            _result("bare", "ff", records),
-            _result("bare", "ms", records),
-            _result("bare", "3p", records),
+            _result("bare", "ff", records, physical),
+            _result("bare", "ms", records, physical),
+            _result("bare", "3p", records, physical),
         )
         summary = summarize_runtime({"bare": cmp})
-        # legacy accounting sums runtime_keys: all empty -> zero totals,
-        # no division by zero anywhere
+        # all-zero times: zero totals, no division by zero anywhere
         assert summary.per_design["bare"]["3p"] == 0.0
         assert summary.flow_vs_ff_percent == 0.0
-
-    def test_legacy_runtime_dict_fallback(self):
-        # results built without StageRecords fall back to the runtime dict
-        ff = _result("legacy", "ff", [], runtime={"synth": 1.0, "cts": 0.1})
-        p3 = _result("legacy", "3p", [],
-                     runtime={"synth": 1.0, "ilp": 0.02, "cts": 0.3})
-        cmp = _comparison("legacy", ff, ff, p3)
-        summary = summarize_runtime({"legacy": cmp})
-        assert summary.per_design["legacy"]["ff"] == pytest.approx(1.1)
-        assert summary.per_design["legacy"]["ilp"] == 0.02
-        assert summary.cts_ratio_vs_ff == pytest.approx(3.0)
-        assert summary.flow_vs_ff_percent > 0
+        assert summary.ilp_share == 0.0
+        assert summary.cts_ratio_vs_ff == 0.0
+        assert summary.route_vs_ff_percent == 0.0

@@ -213,6 +213,12 @@ def test_error_statuses(server):
     code, body = _req(server, "POST", "/jobs", {
         "design": "s1488", "options": {"assign_method": "gurobi"}})
     assert code == 400 and "unknown assign method 'gurobi'" in body["error"]
+    # a simulation no longer than its warm-up has no measurement window:
+    # rejected at intake, not inside the power stage
+    code, body = _req(server, "POST", "/jobs", {
+        "design": "s1488", "options": {"sim_cycles": 4}})
+    assert code == 400
+    assert "sim_cycles" in body["error"] and "warmup_cycles" in body["error"]
     assert _req(server, "DELETE", "/jobs")[0] == 405
     assert _req(server, "POST", "/healthz")[0] == 405
     code, body = _req(server, "GET", "/jobs/j999999/result")

@@ -80,6 +80,36 @@ class TestSharedContract:
         assert payload["summary"]["error"] >= 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "nosuch"],
+    ["schedule", "nosuch"],
+    ["table1", "--designs", "nosuch"],
+    ["table2", "--designs", "s1488", "nosuch"],
+    ["runtime", "--designs", "nosuch"],
+], ids=lambda argv: argv[0])
+def test_unknown_design_exits_two(argv, capsys):
+    """Every design argument is checked before any work starts: one
+    line on stderr, exit 2, no traceback."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown benchmark 'nosuch'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cycles,message", [
+    ("-5", "must be a positive integer"),
+    ("0", "must be a positive integer"),
+    ("5", "must exceed the 8-cycle warm-up"),
+])
+def test_bad_cycles_exit_two_before_the_flow(cycles, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "s1488", "--cycles", cycles])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --cycles: {message}" in err
+    assert "Traceback" not in err
+
+
 class TestContractIsDocumented:
     def test_docs_state_the_shared_conventions(self):
         from pathlib import Path
