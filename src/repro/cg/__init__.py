@@ -16,7 +16,6 @@ from repro.cg.common_enable import (
     CommonEnableReport,
     apply_common_enable_gating,
     enable_of,
-    fanin_latches,
 )
 from repro.cg.ddcg import DdcgReport, apply_ddcg, toggle_rate
 from repro.cg.m2 import M2Report, apply_m2, cg_phase, enable_source_phases
@@ -91,7 +90,6 @@ __all__ = [
     "CommonEnableReport",
     "apply_common_enable_gating",
     "enable_of",
-    "fanin_latches",
     "DdcgReport",
     "apply_ddcg",
     "toggle_rate",

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.library.cell import CellKind, Library
-from repro.netlist.core import Module, Pin
+from repro.netlist.core import Module
 from repro.netlist.traversal import trace_clock_root
 
 
@@ -78,31 +78,6 @@ def gating_labels(module: Module) -> dict[str, str | None]:
     return labels
 
 
-def fanin_latches(module: Module, latch_name: str) -> set[str]:
-    """Latches with a combinational path into ``latch_name``'s D pin."""
-    latch = module.instances[latch_name]
-    seen_nets: set[str] = set()
-    found: set[str] = set()
-    stack = [latch.net_of("D")]
-    while stack:
-        net = stack.pop()
-        if net in seen_nets:
-            continue
-        seen_nets.add(net)
-        driver = module.nets[net].driver
-        if not isinstance(driver, Pin):
-            continue
-        inst = module.instances[driver.instance]
-        if inst.is_sequential:
-            found.add(inst.name)
-        elif inst.cell.kind is CellKind.COMB:
-            for pin in inst.cell.input_pins:
-                in_net = inst.conns.get(pin)
-                if in_net is not None:
-                    stack.append(in_net)
-    return found
-
-
 def enable_of(module: Module, latch_name: str) -> str | None:
     """The enable net gating a latch's clock, or None if ungated.
 
@@ -110,7 +85,7 @@ def enable_of(module: Module, latch_name: str) -> str | None:
     condition seen by the latch.
     """
     latch = module.instances[latch_name]
-    chain = trace_clock_root(module, latch.net_of(latch.cell.clock_pin))
+    chain, _ = trace_clock_root(module, latch.net_of(latch.cell.clock_pin))
     for inst_name in chain:
         inst = module.instances[inst_name]
         if inst.cell.kind is CellKind.ICG:

@@ -56,15 +56,9 @@ def enable_source_phases(module: Module, en_net: str) -> set[str]:
 
 
 def cg_phase(module: Module, icg_name: str, phase_names: tuple[str, ...]) -> str | None:
-    """The clock phase an ICG's CK pin traces back to."""
-    icg = module.instances[icg_name]
-    chain = trace_clock_root(module, icg.net_of("CK"))
-    net = icg.net_of("CK")
-    if chain:
-        root = module.instances[chain[-1]]
-        pin = "CK" if "CK" in root.conns else "A"
-        net = root.net_of(pin)
-    return net if net in phase_names else None
+    """The clock phase an ICG's CK pin traces back to, or None."""
+    _, root = trace_clock_root(module, module.instances[icg_name].net_of("CK"))
+    return root if root in phase_names else None
 
 
 def apply_m2(

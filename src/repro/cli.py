@@ -549,14 +549,20 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     from repro.netlist import check, verilog
     from repro.synth import synthesize
 
-    if args.bench:
-        module = bench_io.load(args.bench)
-    else:
-        module = blif_io.load(args.blif)
-    mapped = synthesize(module, FDSOI28).module
-    result = convert_to_three_phase(mapped, FDSOI28, period=args.period)
-    check(result.module)
-    verilog.dump(result.module, args.out)
+    try:
+        if args.bench:
+            module = bench_io.load(args.bench)
+        else:
+            module = blif_io.load(args.blif)
+        mapped = synthesize(module, FDSOI28).module
+        result = convert_to_three_phase(mapped, FDSOI28, period=args.period)
+        check(result.module)
+        verilog.dump(result.module, args.out)
+    except (OSError, ValueError) as exc:
+        # bad input: unreadable file, parse error, cycle, invalid netlist
+        # (whose report lists one issue per line)
+        _progress("error: " + str(exc).replace("\n", " "))
+        return 2
     counts = result.assignment.phase_counts()
     print(f"converted {module.name}: {result.assignment.num_ffs} FFs -> "
           f"{result.assignment.total_latches} latches {counts}; "

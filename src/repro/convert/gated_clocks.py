@@ -39,7 +39,7 @@ class GatedClockRebuilder:
         synthesis re-buffers); ICGs are duplicated with their enable nets
         shared with the originals.
         """
-        chain = trace_clock_root(self.module, original_clock_net)
+        chain, _ = trace_clock_root(self.module, original_clock_net)
         icgs = [
             name
             for name in chain

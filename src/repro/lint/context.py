@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.library.cell import CellKind
-from repro.netlist.core import Module, Pin, PortRef
-from repro.netlist.traversal import FFGraph, seq_fanout_map
+from repro.netlist.core import Module, Pin
+from repro.netlist.traversal import FFGraph, seq_fanout_map, trace_clock_root
 
 
 class AnalysisContext:
@@ -87,46 +87,17 @@ class AnalysisContext:
     # -- clock-tree back-trace ----------------------------------------
 
     def clock_root(self, net_name: str | None) -> str | None:
-        """Root clock port feeding ``net_name``, through buffers and ICGs.
-
-        Walks driver-to-driver: an ICG is crossed via its CK pin, a
-        buffer or inverter via its A pin.  Returns the clock-port name,
-        or None when the trace dead-ends (tie cell, data logic, cycle).
-        """
-        if net_name in self._roots:
-            return self._roots[net_name]
-        root: str | None = None
-        seen: set[str] = set()
-        current: str | None = net_name
-        while current is not None and current not in seen:
-            seen.add(current)
-            if current in self._roots:
-                root = self._roots[current]
-                break
-            net = self.module.nets.get(current)
-            if net is None or net.driver is None:
-                break
-            driver = net.driver
-            if isinstance(driver, PortRef):
-                if driver.port in self.module.clock_ports:
-                    root = driver.port
-                break
-            if isinstance(driver, Pin):
-                inst = self.module.instances.get(driver.instance)
-                if inst is None:
-                    break
-                if inst.cell.kind is CellKind.ICG:
-                    current = inst.conns.get("CK")
-                elif inst.cell.op in ("BUF", "INV"):
-                    current = inst.conns.get("A")
-                else:
-                    break
-            else:  # pragma: no cover - no other driver kinds exist
-                break
-        for name in seen:
-            self._roots[name] = root
-        self._roots[net_name] = root
-        return root
+        """Root clock port feeding ``net_name``, through buffers and ICGs
+        (:func:`~repro.netlist.traversal.trace_clock_root`), or None when
+        the trace dead-ends anywhere else or loops."""
+        if net_name not in self._roots:
+            try:
+                _, root = trace_clock_root(self.module, net_name)
+            except ValueError:
+                root = None
+            self._roots[net_name] = (
+                root if root in self.module.clock_ports else None)
+        return self._roots[net_name]
 
     # -- gated-clock sink sets ----------------------------------------
 

@@ -1,4 +1,4 @@
-"""Netlist traversals: topological order, FF-to-FF connectivity, clock tracing.
+"""Netlist traversals: topological order, FF-to-FF connectivity, clock network.
 
 The central product here is :func:`ff_fanout_map`: for every flip-flop ``u``
 the set ``FO(u)`` of flip-flops whose data input is reachable from ``u``'s
@@ -8,6 +8,11 @@ output through combinational logic only -- the relation the paper's ILP
 Reachability is computed with one reverse-topological sweep propagating
 per-net bitmasks (Python ints), so it is near-linear even for the
 multi-thousand-FF CPU benchmarks.
+
+The clock network's shape is known only here: :func:`trace_clock_root`
+walks a clock net back to its root, :func:`register_phases` maps every
+register to its phase, and :func:`is_clock_cell` names the cells that
+distribute a clock.  Consumers add only their own policy on top.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.library.cell import CellKind
-from repro.netlist.core import Module, Pin
+from repro.netlist.core import Instance, Module, Pin
 
 #: Pin names that terminate a combinational path at a sequential cell.
 _SEQ_DATA_PINS = {"D"}
@@ -173,56 +178,59 @@ def _bit_indices(bits: int) -> list[int]:
     return out
 
 
-def trace_clock_root(module: Module, net_name: str) -> list[str]:
+def trace_clock_root(
+    module: Module, net_name: str | None,
+) -> tuple[list[str], str | None]:
     """Follow a clock net backward through ICGs and buffers to its root.
 
-    Returns the chain of instance names from the sink side back to the root
-    (clock port or undriven net); the first element drives ``net_name``.
-    Used when re-targeting gated clocks during conversion.
+    This is the one model of the clock network's shape: an ICG is
+    crossed via its ``CK`` pin, a buffer or inverter via its ``A`` pin.
+    Returns ``(chain, root)``: ``chain`` lists the crossed instances from
+    the sink side back (the first drives ``net_name``); ``root`` is the
+    net the trace stopped at -- a clock port, an undriven or missing
+    net, or a net driven by any other cell -- or None when a crossed
+    pin is unconnected.  Raises ``ValueError`` on a clock-tree cycle.
     """
     chain: list[str] = []
     current = net_name
     seen: set[str] = set()
-    while True:
+    while current is not None:
         if current in seen:
             raise ValueError(f"clock net cycle at {current!r}")
         seen.add(current)
-        driver = module.nets[current].driver
-        if not isinstance(driver, Pin):
-            return chain
-        inst = module.instances[driver.instance]
+        net = module.nets.get(current)
+        if net is None or not isinstance(net.driver, Pin):
+            break
+        inst = module.instances[net.driver.instance]
         if inst.cell.kind is CellKind.ICG:
-            chain.append(inst.name)
-            current = inst.net_of("CK")
+            pin = "CK"
         elif inst.cell.op in ("BUF", "INV"):
-            chain.append(inst.name)
-            current = inst.net_of("A")
+            pin = "A"
         else:
-            return chain
+            break
+        chain.append(inst.name)
+        current = inst.conns.get(pin)
+    return chain, current
 
 
-def transitive_fanin_cone(module: Module, net_names: list[str]) -> set[str]:
-    """Combinational instances in the fanin cone of the given nets.
+def register_phases(module: Module, clocks) -> dict[str, str]:
+    """Sequential instance name -> the phase its clock traces back to.
 
-    The cone stops at sequential outputs, ICG outputs, and ports.
+    ``clocks`` is a ``ClockSpec``.  Raises ``ValueError`` when a
+    register's clock root is not one of its ``phase_names``.
     """
-    cone: set[str] = set()
-    stack = list(net_names)
-    seen_nets: set[str] = set()
-    while stack:
-        net_name = stack.pop()
-        if net_name in seen_nets:
-            continue
-        seen_nets.add(net_name)
-        driver = module.nets[net_name].driver
-        if not isinstance(driver, Pin):
-            continue
-        inst = module.instances[driver.instance]
-        if inst.cell.kind is not CellKind.COMB:
-            continue
-        cone.add(inst.name)
-        for pin in inst.cell.input_pins:
-            net = inst.conns.get(pin)
-            if net is not None:
-                stack.append(net)
-    return cone
+    phases: dict[str, str] = {}
+    for inst in module.sequential_instances():
+        _, root = trace_clock_root(module, inst.conns.get(inst.cell.clock_pin))
+        if root not in clocks.phase_names:
+            raise ValueError(
+                f"register {inst.name!r} clock root {root!r} is not a phase "
+                f"of the clock spec {clocks.phase_names}"
+            )
+        phases[inst.name] = root
+    return phases
+
+
+def is_clock_cell(inst: Instance) -> bool:
+    """Clock-distribution cells: ICGs and the buffers CTS inserted."""
+    return inst.cell.kind is CellKind.ICG or bool(inst.attrs.get("clock_buffer"))

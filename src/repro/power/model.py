@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.library.cell import CellKind, Library
+from repro.library.cell import Library
 from repro.netlist.core import Module, Pin
+from repro.netlist.traversal import is_clock_cell
 
 #: femtojoule * (1/ps) = milliwatt; energies are fJ, times ps.
 _FJ_PER_PS_TO_MW = 1.0
@@ -84,18 +85,12 @@ class PowerReport:
 
 
 def clock_nets_of(module: Module) -> set[str]:
-    """Nets belonging to the clock network: phase roots, clock buffer
-    outputs, and gated-clock (ICG output) nets."""
-    nets: set[str] = set()
-    for port in module.clock_ports:
-        nets.add(port)
+    """Nets belonging to the clock network: the clock ports and the
+    output nets of clock cells (clock buffers and ICGs)."""
+    nets = set(module.clock_ports)
     for inst in module.instances.values():
-        if inst.cell.kind is CellKind.ICG:
-            nets.add(inst.net_of("GCK"))
-        elif inst.attrs.get("clock_buffer"):
-            out = inst.conns.get(inst.cell.output_pin)
-            if out:
-                nets.add(out)
+        if is_clock_cell(inst) and inst.cell.output_pin in inst.conns:
+            nets.add(inst.conns[inst.cell.output_pin])
     return nets
 
 
@@ -135,7 +130,7 @@ def measure_power(
     )
 
     def group_for_instance(inst) -> PowerGroup:
-        if inst.cell.kind is CellKind.ICG or inst.attrs.get("clock_buffer"):
+        if is_clock_cell(inst):
             return report.clock
         if inst.is_sequential:
             return report.seq

@@ -36,9 +36,11 @@ from time import perf_counter
 
 from repro import obs
 from repro.library.cell import CellKind, PinDirection
-from repro.netlist.core import Module, Pin
+from repro.netlist.core import Module
+from repro.netlist.traversal import is_clock_cell
 from repro.sim.logic import EVAL, X
 from repro.convert.clocks import ClockSpec
+from repro.timing.delay import output_load
 
 # Action codes compiled per (net, subscriber) pair, ordered so the event
 # loop's dispatch chain tests the hottest classes first.  All one- and
@@ -103,25 +105,16 @@ def _unknown_net_message(name: str, known) -> str:
 def cell_delay(module: Module, inst, delay_model: str) -> float:
     """Transport delay of ``inst`` under ``delay_model``.
 
-    Shared by the compiled kernel and the reference engine so both compute
-    the identical floats (the load sum iterates the same ``loads`` set in
-    the same order within one process).
+    Shared by every simulation engine so all compute the identical
+    floats; the load is STA's :func:`~repro.timing.delay.output_load`
+    without wire capacitance.
     """
     # Ideal clock distribution: see the module docstring.
-    if inst.cell.kind is CellKind.ICG or inst.attrs.get("clock_buffer"):
+    if is_clock_cell(inst):
         return 0.0
     if delay_model == "unit":
         return 1.0
-    out_pins = inst.cell.output_pins
-    if not out_pins:
-        return 0.0
-    out_net = inst.conns.get(out_pins[0])
-    load = 0.0
-    if out_net:
-        for ref in module.nets[out_net].loads:
-            if isinstance(ref, Pin):
-                sink = module.instances[ref.instance]
-                load += sink.cell.pin_capacitance(ref.pin)
+    load = output_load(module, inst)
     return max(1.0, inst.cell.intrinsic_delay + inst.cell.delay_per_ff * load)
 
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 from repro.convert.clocks import ClockSpec
 from repro.netlist.core import Module
-from repro.timing.graph import PI_SOURCE, PO_SINK, extract_timing_graph
-from repro.timing.sta import TimingReport, _clock_phase_of, analyze
+from repro.netlist.traversal import register_phases
+from repro.timing.graph import extract_timing_graph
+from repro.timing.sta import TimingReport, analyze
 
 
 @dataclass
@@ -59,17 +60,9 @@ def check_conversion_constraints(
     # C2: no comb-connected pair of latches has overlapping transparency.
     graph = extract_timing_graph(converted, wire_caps)
     overlaps: list[tuple[str, str]] = []
-    phase_cache: dict[str, str] = {}
-
-    def phase_of(name: str) -> str | None:
-        if name in (PI_SOURCE, PO_SINK):
-            return None
-        if name not in phase_cache:
-            phase_cache[name] = _clock_phase_of(converted, name, clocks)
-        return phase_cache[name]
-
+    phases = register_phases(converted, clocks)  # PI/PO map to None
     for edge in graph.edges:
-        src_phase, dst_phase = phase_of(edge.src), phase_of(edge.dst)
+        src_phase, dst_phase = phases.get(edge.src), phases.get(edge.dst)
         if src_phase is None or dst_phase is None:
             continue
         if clocks.overlaps(src_phase, dst_phase):

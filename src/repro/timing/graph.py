@@ -38,12 +38,6 @@ class TimingGraph:
     registers: list[str]
     edges: list[SeqEdge] = field(default_factory=list)
 
-    def edges_into(self, dst: str) -> list[SeqEdge]:
-        return [e for e in self.edges if e.dst == dst]
-
-    def edges_from(self, src: str) -> list[SeqEdge]:
-        return [e for e in self.edges if e.src == src]
-
 
 def extract_timing_graph(
     module: Module,

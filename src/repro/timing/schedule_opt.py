@@ -44,8 +44,8 @@ from scipy.optimize import linprog
 
 from repro.convert.clocks import ClockSpec, Phase
 from repro.netlist.core import Module
+from repro.netlist.traversal import register_phases
 from repro.timing.graph import PI_SOURCE, PO_SINK, TimingGraph, extract_timing_graph
-from repro.timing.sta import _clock_phase_of
 
 #: dataflow-cyclic order of the three phases: the wrap point sits between
 #: p3 and p1 (p3 closes at the period boundary in the default schedule).
@@ -66,15 +66,6 @@ class ScheduleResult:
             f"{p.name}:[{p.rise:.0f},{p.fall:.0f})" for p in self.clocks.phases
         )
         return f"Tc={self.period:.1f} ps  {edges}"
-
-
-def _phase_edges(module: Module, clocks_hint: ClockSpec,
-                 graph: TimingGraph) -> dict[str, str]:
-    """Map register -> phase name using the hint spec for tracing."""
-    phases = {}
-    for reg in graph.registers:
-        phases[reg] = _clock_phase_of(module, reg, clocks_hint)
-    return phases
 
 
 def _feasible_at(
@@ -178,7 +169,7 @@ def optimize_schedule(
     with).  Bisection over the period wraps the inner feasibility LP.
     """
     graph = extract_timing_graph(module)
-    reg_phase = _phase_edges(module, clocks_hint, graph)
+    reg_phase = register_phases(module, clocks_hint)
     setups = {
         inst.name: inst.cell.setup for inst in module.sequential_instances()
     }

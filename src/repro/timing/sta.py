@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.convert.clocks import ClockSpec
 from repro.netlist.core import Module
+from repro.netlist.traversal import register_phases
 from repro.timing.graph import PI_SOURCE, PO_SINK, TimingGraph, extract_timing_graph
 from repro.timing.smo import (
     RegisterTiming,
@@ -71,26 +72,17 @@ class TimingReport:
         )
 
 
-def _register_phases(module: Module, clocks: ClockSpec) -> dict[str, str]:
-    """Register name -> driving phase name (traced through clock gating).
-
-    The trace walks the netlist and is period-independent, so callers
-    probing many periods (:func:`minimum_period`) compute it once and pass
-    it to :func:`_register_timings`.
-    """
-    return {
-        inst.name: _clock_phase_of(module, inst.name, clocks)
-        for inst in module.sequential_instances()
-    }
-
-
 def _register_timings(
     module: Module,
     clocks: ClockSpec,
     phases: dict[str, str] | None = None,
 ) -> dict[str, RegisterTiming]:
+    """Per-register timing windows.  ``phases`` (from
+    :func:`register_phases`) is period-independent, so callers probing
+    many periods (:func:`minimum_period`) trace it once and pass it in.
+    """
     if phases is None:
-        phases = _register_phases(module, clocks)
+        phases = register_phases(module, clocks)
     timings: dict[str, RegisterTiming] = {}
     for inst in module.sequential_instances():
         timings[inst.name] = register_timing_for(
@@ -98,26 +90,6 @@ def _register_timings(
             setup=inst.cell.setup, hold=inst.cell.hold,
         )
     return timings
-
-
-def _clock_phase_of(module: Module, inst_name: str, clocks: ClockSpec) -> str:
-    """Phase driving a register, traced through any gating to the root."""
-    from repro.netlist.traversal import trace_clock_root
-
-    inst = module.instances[inst_name]
-    clock_pin = inst.cell.clock_pin
-    net = inst.net_of(clock_pin)
-    chain = trace_clock_root(module, net)
-    if chain:
-        root_inst = module.instances[chain[-1]]
-        pin = "CK" if "CK" in root_inst.conns else "A"
-        net = root_inst.net_of(pin)
-    if net not in clocks.phase_names:
-        raise ValueError(
-            f"register {inst_name!r} clock root {net!r} is not a phase of "
-            f"the clock spec {clocks.phase_names}"
-        )
-    return net
 
 
 def analyze(
@@ -311,7 +283,7 @@ def minimum_period(
         nonlocal phases
         clocks = clocks_builder(period)
         if phases is None:
-            phases = _register_phases(module, clocks)
+            phases = register_phases(module, clocks)
         rpt = analyze(
             module, clocks, graph=graph,
             timings=_register_timings(module, clocks, phases=phases),

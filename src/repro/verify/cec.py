@@ -149,7 +149,7 @@ class _ConeEncoder:
     def enable_lit(self, clock_net: str) -> int:
         """AND of the EN cones of every ICG on ``clock_net``'s root path."""
         try:
-            chain = trace_clock_root(self.module, clock_net)
+            chain, _ = trace_clock_root(self.module, clock_net)
         except ValueError as exc:
             raise ModelViolation(str(exc)) from None
         terms = []

@@ -2,16 +2,13 @@
 
 import pytest
 
-from repro.cg.common_enable import (
-    apply_common_enable_gating,
-    enable_of,
-    fanin_latches,
-)
+from repro.cg.common_enable import apply_common_enable_gating, enable_of
 from repro.convert import ClockSpec, convert_to_three_phase
 from repro.library.cell import CellKind
 from repro.library.fdsoi28 import FDSOI28
 from repro.library.generic import GENERIC
 from repro.netlist import Module, check
+from repro.netlist.traversal import seq_fanout_map
 from repro.sim import check_equivalent
 from repro.synth import synthesize
 
@@ -48,8 +45,9 @@ def converted():
 class TestAnalysis:
     def test_fanin_latches_of_follower(self, converted):
         _, result = converted
+        fanin = seq_fanout_map(result.module).fanin()
         for follower, leader in result.followers.items():
-            assert fanin_latches(result.module, follower) == {leader}
+            assert fanin[follower] == {leader}
 
     def test_enable_of_traces_icg(self, converted):
         _, result = converted
@@ -127,8 +125,8 @@ class TestGating:
         report = apply_common_enable_gating(result.module, FDSOI28)
         check(result.module)
         # Every gated latch's group has a single enable by construction.
+        fanin = seq_fanout_map(result.module).fanin()
         for enable, members in report.groups.items():
             for name in members:
-                fanins = fanin_latches(result.module, name)
-                enables = {enable_of(result.module, f) for f in fanins}
+                enables = {enable_of(result.module, f) for f in fanin[name]}
                 assert enables == {enable}

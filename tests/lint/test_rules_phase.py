@@ -1,5 +1,7 @@
 """Phase-legality family: each broken fixture trips exactly its rule."""
 
+import pytest
+
 from repro.convert.clocks import THREE_PHASE_HOPS
 from repro.lint import run_lint
 from repro.library.generic import GENERIC
@@ -31,6 +33,28 @@ class TestPathOrder:
             assert not result.findings, (src, dst)
 
 
+def _buf_loop_gate(m):
+    """A gate net driven by a two-buffer loop."""
+    m.add_net("loop_a")
+    m.add_net("loop_b")
+    m.add_instance("buf_a", GENERIC["BUF"], {"A": "loop_b", "Y": "loop_a"})
+    m.add_instance("buf_b", GENERIC["BUF"], {"A": "loop_a", "Y": "loop_b"})
+    return "loop_a"
+
+
+def _unconnected_ck_gate(m):
+    """A gate net behind an ICG whose CK pin is unconnected."""
+    m.add_input("en")
+    m.add_net("gck")
+    m.add_instance("icg", GENERIC["ICG"], {"EN": "en", "GCK": "gck"})
+    return "gck"
+
+
+def _undriven_gate(m):
+    m.add_net("floating")
+    return "floating"
+
+
 class TestLatchPhase:
     def test_wrong_clock_root_flagged(self):
         m = three_phase_module()
@@ -47,6 +71,21 @@ class TestLatchPhase:
         add_latch(m, "lat", "p9", "d", gate_net="p1")
         result = run_lint(m, stage="final")
         assert "phase.latch-phase" in rule_ids(result)
+
+    @pytest.mark.parametrize("build_gate", [
+        _buf_loop_gate, _unconnected_ck_gate, _undriven_gate,
+    ], ids=["buf-loop", "icg-unconnected-ck", "undriven-net"])
+    def test_dead_end_clock_trace_flagged(self, build_gate):
+        """A gate net whose clock trace dead-ends is a finding, never an
+        exception out of the lint run."""
+        m = three_phase_module()
+        gate_net = build_gate(m)
+        add_latch(m, "lat", "p1", "d", gate_net=gate_net)
+        result = run_lint(m, stage="final")
+        finding = next(
+            f for f in result.findings
+            if f.rule == "phase.latch-phase" and f.where == "lat")
+        assert "does not trace back to a clock root" in finding.message
 
     def test_missing_phase_attr_flagged(self):
         m = three_phase_module()

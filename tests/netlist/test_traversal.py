@@ -9,7 +9,6 @@ from repro.netlist.traversal import (
     comb_topo_order,
     ff_fanout_map,
     trace_clock_root,
-    transitive_fanin_cone,
 )
 
 
@@ -97,31 +96,51 @@ class TestFFGraph:
         assert len(graph.fanout[ff1]) == 1
 
 
+def _gated_module() -> Module:
+    """clk -> buf -> icg -> ff."""
+    m = Module("m")
+    m.add_input("clk", is_clock=True)
+    m.add_input("en")
+    m.add_input("d")
+    m.add_net("bclk")
+    m.add_net("gck")
+    m.add_net("q")
+    m.add_instance("buf", GENERIC["BUF"], {"A": "clk", "Y": "bclk"})
+    m.add_instance("icg", GENERIC["ICG"], {"CK": "bclk", "EN": "en", "GCK": "gck"})
+    m.add_instance("ff", GENERIC["DFF"], {"D": "d", "CK": "gck", "Q": "q"})
+    m.add_output("z", net_name="q")
+    return m
+
+
 class TestClockTracing:
     def test_direct_clock_has_empty_chain(self, s27):
         ff = s27.flip_flops()[0]
-        assert trace_clock_root(s27, ff.net_of("CK")) == []
+        assert trace_clock_root(s27, ff.net_of("CK")) == ([], "clk")
 
     def test_traces_through_icg_and_buffer(self):
-        m = Module("m")
-        m.add_input("clk", is_clock=True)
-        m.add_input("en")
-        m.add_input("d")
-        m.add_net("bclk")
-        m.add_net("gck")
-        m.add_net("q")
-        m.add_instance("buf", GENERIC["BUF"], {"A": "clk", "Y": "bclk"})
-        m.add_instance("icg", GENERIC["ICG"], {"CK": "bclk", "EN": "en", "GCK": "gck"})
-        m.add_instance("ff", GENERIC["DFF"], {"D": "d", "CK": "gck", "Q": "q"})
-        m.add_output("z", net_name="q")
-        assert trace_clock_root(m, "gck") == ["icg", "buf"]
+        m = _gated_module()
+        assert trace_clock_root(m, "gck") == (["icg", "buf"], "clk")
 
+    def test_dead_ends_return_the_stopping_net(self):
+        m = _gated_module()
+        m.add_net("floating")
+        m.add_net("data_y")
+        m.add_instance("and", GENERIC["AND2"],
+                       {"A": "d", "B": "en", "Y": "data_y"})
+        # undriven net, missing net, data cell: the trace stops there
+        assert trace_clock_root(m, "floating") == ([], "floating")
+        assert trace_clock_root(m, "no_such_net") == ([], "no_such_net")
+        assert trace_clock_root(m, "data_y") == ([], "data_y")
+        # an unconnected clock pin ends the chain with no root net
+        m.disconnect("buf", "A")
+        assert trace_clock_root(m, "gck") == (["icg", "buf"], None)
+        assert trace_clock_root(m, None) == ([], None)
 
-class TestFaninCone:
-    def test_cone_stops_at_sequential(self, s27):
-        cone = transitive_fanin_cone(s27, ["G17"])
-        # G17 = NOT(G11), G11 = NOR(G5, G9), G5 is an FF output: the cone
-        # contains the NOT and NOR and G9's cone but no FF.
-        assert all(not s27.instances[i].is_sequential for i in cone)
-        assert any(s27.instances[i].net_of("Y") == "G17" for i in cone
-                   if "Y" in s27.instances[i].conns)
+    def test_cycle_raises(self):
+        m = Module("loop")
+        m.add_net("a")
+        m.add_net("b")
+        m.add_instance("buf_a", GENERIC["BUF"], {"A": "b", "Y": "a"})
+        m.add_instance("inv_b", GENERIC["INV"], {"A": "a", "Y": "b"})
+        with pytest.raises(ValueError, match="clock net cycle"):
+            trace_clock_root(m, "a")

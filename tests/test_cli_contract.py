@@ -110,6 +110,39 @@ def test_bad_cycles_exit_two_before_the_flow(cycles, message, capsys):
     assert "Traceback" not in err
 
 
+_BAD_CONVERT_INPUTS = {
+    "missing-file": ("absent.bench", None, "No such file"),
+    "bench-parse": ("bad.bench", "INPUT(a)\nOUTPUT(z)\nz = FOO(a\n",
+                    "cannot parse expression"),
+    "blif-table": ("bad.blif", ".model m\n.inputs a b c\n.outputs z\n"
+                   ".names a b c z\n101 1\n010 1\n.end\n",
+                   "not a standard gate"),
+    "comb-cycle": ("cycle.bench",
+                   "INPUT(a)\nOUTPUT(z)\nx = AND(a, z)\nz = NOT(x)\n",
+                   "combinational cycle"),
+    "undriven-net": ("undriven.bench",
+                     "INPUT(a)\nOUTPUT(z)\nz = AND(a, nowhere)\n",
+                     "[undriven-net] nowhere"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CONVERT_INPUTS))
+def test_convert_bad_input_exits_two(case, tmp_path, capsys):
+    """Malformed input to ``repro convert`` is one ``error:`` line on
+    stderr and exit 2, never a traceback."""
+    name, text, message = _BAD_CONVERT_INPUTS[case]
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    source = "--blif" if path.suffix == ".blif" else "--bench"
+    assert main(["convert", source, str(path),
+                 "--out", str(tmp_path / "out.v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out.v").exists()
+
+
 class TestContractIsDocumented:
     def test_docs_state_the_shared_conventions(self):
         from pathlib import Path

@@ -11,8 +11,8 @@ from repro.convert import (
 )
 from repro.library.fdsoi28 import FDSOI28
 from repro.synth import synthesize
+from repro.netlist.traversal import register_phases
 from repro.timing import check_conversion_constraints, extract_timing_graph
-from repro.timing.sta import _clock_phase_of
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +46,13 @@ def test_phase_tracing_through_cts_buffers(mapped):
     work = result.module
     synthesize_clock_trees(work, FDSOI28, place(work), max_fanout=4)
     # even behind buffer trees, every latch still traces to its phase
+    phases = register_phases(work, result.clocks)
     for latch in work.latches():
-        phase = _clock_phase_of(work, latch.name, result.clocks)
-        assert phase == latch.attrs.get("phase") or phase in ("p1", "p2", "p3")
+        assert phases[latch.name] == latch.attrs["phase"]
 
 
 def test_unknown_clock_root_raises(mapped):
     result = convert_to_three_phase(mapped, FDSOI28, period=1000.0)
     wrong_spec = ClockSpec.master_slave(1000.0)  # no p1/p2/p3 phases
     with pytest.raises(ValueError, match="not a phase"):
-        latch = result.module.latches()[0]
-        _clock_phase_of(result.module, latch.name, wrong_spec)
+        register_phases(result.module, wrong_spec)
