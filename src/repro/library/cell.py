@@ -104,6 +104,16 @@ class Cell:
         names = [p.name for p in self.pins]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate pin names in cell {self.name!r}")
+        # Pin roles are read on every netlist traversal, so derive them once.
+        # Eagerly, not lazily: cells are pickled inside cached modules, and
+        # a cache filled on first use would change a cell's pickled bytes.
+        derive = object.__setattr__
+        derive(self, "_is_sequential", self.op in SEQ_OPS)
+        derive(self, "_input_pins", tuple(
+            p.name for p in self.pins if p.direction is PinDirection.INPUT))
+        derive(self, "_output_pins", tuple(
+            p.name for p in self.pins if p.direction is PinDirection.OUTPUT))
+        derive(self, "_pin_caps", {p.name: p.capacitance for p in self.pins})
 
     # -- pin role helpers ---------------------------------------------------
 
@@ -120,15 +130,15 @@ class Cell:
     @property
     def is_sequential(self) -> bool:
         """True for state-holding cells (FF or latch, not ICGs)."""
-        return self.op in SEQ_OPS
+        return self._is_sequential
 
     @property
     def input_pins(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.pins if p.direction is PinDirection.INPUT)
+        return self._input_pins
 
     @property
     def output_pins(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.pins if p.direction is PinDirection.OUTPUT)
+        return self._output_pins
 
     @property
     def output_pin(self) -> str:
@@ -160,7 +170,10 @@ class Cell:
         raise KeyError(f"cell {self.name!r} has no pin {name!r}")
 
     def pin_capacitance(self, name: str) -> float:
-        return self.pin(name).capacitance
+        try:
+            return self._pin_caps[name]
+        except KeyError:
+            raise KeyError(f"cell {self.name!r} has no pin {name!r}") from None
 
 
 def comb_pins(n_inputs: int, input_cap: float = 1.0) -> tuple[PinSpec, ...]:

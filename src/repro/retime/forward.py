@@ -239,12 +239,16 @@ def retime_forward(
             sp.set(moves=round_moves, violations=len(report.violations))
             obs.record("retime.round_moves", round_moves)
 
+    # A pass that accepted no move left the module as it was (rejected
+    # trials are restored from their checkpoint), so ``report`` still
+    # describes it and needs no re-analysis.
     if balance and not _setup_violated(report):
         with obs.span("retime.balance", phase=movable_phase) as sp:
             moves_before = result.moves
             _balance_moves(module, clocks, library, movable_phase, result)
             sp.set(moves=result.moves - moves_before)
-        report = analyze(module, clocks)
+        if result.moves > moves_before:
+            report = analyze(module, clocks)
 
     if area_pass and not _setup_violated(report):
         with obs.span("retime.area_pass", phase=movable_phase) as sp:
@@ -252,7 +256,8 @@ def retime_forward(
             _area_moves(module, clocks, library, movable_phase, result)
             sp.set(moves=result.moves - moves_before,
                    area_moves=result.area_moves)
-        report = analyze(module, clocks)
+        if result.moves > moves_before:
+            report = analyze(module, clocks)
 
     result.timing_after = report
     result.latch_counts_after = phase_latch_counts(module)

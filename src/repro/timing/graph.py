@@ -5,15 +5,21 @@ combinational logic, the shortest and longest path delay.  Primary inputs
 act as pseudo-sources (the paper treats them "as if clocked by p1") and
 primary outputs as pseudo-sinks.
 
-Extraction runs one cone-restricted dynamic program per source, which is
-near-linear for pipelined circuits where cones are local.
+Extraction is one pass over the combinational gates in topological
+order.  Every net carries the arrival window ``{source: (min, max)}`` of
+each source that reaches it; a gate merges its inputs' windows and adds
+its delay, a window is turned into edges where it reaches a register's
+data pin or a primary output, and it is dropped after the net's last
+gate reader.  The work is the number of (gate, source) pairs in reach,
+with no per-source traversal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.netlist.core import Module, Pin, PortRef
+from repro import obs
+from repro.netlist.core import Module, PortRef
 from repro.netlist.traversal import comb_topo_order
 from repro.timing.delay import cell_delay
 
@@ -21,6 +27,9 @@ from repro.timing.delay import cell_delay
 PI_SOURCE = "<PI>"
 #: name used for the merged primary-output pseudo-sink.
 PO_SINK = "<PO>"
+
+#: arrival window of one net: source -> (min, max) arrival time.
+_Window = dict[str, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -52,81 +61,80 @@ def extract_timing_graph(
     pins and at ICG enable pins (enables are checked by the clock-gating
     legality analysis, not the data STA).
     """
-    import heapq
+    with obs.span("sta.graph") as sp:
+        graph = _extract(module, wire_caps, include_ports)
+        sp.set(registers=len(graph.registers), edges=len(graph.edges))
+    return graph
 
+
+def _extract(
+    module: Module,
+    wire_caps: dict[str, float] | None,
+    include_ports: bool,
+) -> TimingGraph:
     topo = comb_topo_order(module)
-    topo_index = {name: i for i, name in enumerate(topo)}
-    delays = {
-        name: cell_delay(module, module.instances[name], wire_caps)
-        for name in module.instances
-    }
+    instances = module.instances
 
-    registers = [i.name for i in module.sequential_instances()]
-    sources: list[tuple[str, str, float]] = []  # (name, start net, launch delay)
-    for name in registers:
-        inst = module.instances[name]
-        q_net = inst.conns.get("Q")
-        if q_net is not None:
-            sources.append((name, q_net, delays[name]))
-    if include_ports:
-        for port in module.data_input_ports():
-            sources.append((PI_SOURCE, port, 0.0))
+    # Input nets of each gate, and the gate after which a net is dead.
+    gate_inputs = []
+    last_reader: dict[str, int] = {}
+    for i, name in enumerate(topo):
+        inst = instances[name]
+        ins = [n for n in map(inst.conns.get, inst.cell.input_pins)
+               if n is not None]
+        gate_inputs.append(ins)
+        for net in ins:
+            last_reader[net] = i
 
-    # Gate fanout of each net, precomputed once.
-    net_gates: dict[str, list[str]] = {net: [] for net in module.nets}
-    for name in topo:
-        inst = module.instances[name]
-        for pin in inst.cell.input_pins:
-            net = inst.conns.get(pin)
-            if net is not None:
-                net_gates[net].append(name)
+    # Endpoints of each net: registers whose D pin it feeds, and PO_SINK.
+    sinks: dict[str, list[str]] = {}
+    for net in module.nets.values():
+        for ref in net.loads:
+            if isinstance(ref, PortRef):
+                if include_ports:
+                    sinks.setdefault(net.name, []).append(PO_SINK)
+            elif ref.pin == "D" and instances[ref.instance].is_sequential:
+                sinks.setdefault(net.name, []).append(ref.instance)
 
+    arrivals: dict[str, _Window] = {}  # live windows, keyed by net
     edges: dict[tuple[str, str], tuple[float, float]] = {}
 
-    for src_name, start_net, launch in sources:
-        min_arr: dict[str, float] = {start_net: launch}
-        max_arr: dict[str, float] = {start_net: launch}
-        # Cone-restricted sweep: visit only gates reachable from the start
-        # net, in topological order (heap keyed by topo index), each once.
-        heap = [(topo_index[g], g) for g in net_gates[start_net]]
-        heapq.heapify(heap)
-        queued = {g for _, g in heap}
-        while heap:
-            _, gate_name = heapq.heappop(heap)
-            inst = module.instances[gate_name]
-            in_nets = [inst.conns.get(p) for p in inst.cell.input_pins]
-            out_net = inst.conns.get(inst.cell.output_pin)
-            if out_net is None:
-                continue
-            delay = delays[gate_name]
-            lo = min(min_arr[n] for n in in_nets if n in min_arr) + delay
-            hi = max(max_arr[n] for n in in_nets if n in max_arr) + delay
-            min_arr[out_net] = min(min_arr.get(out_net, lo), lo)
-            max_arr[out_net] = max(max_arr.get(out_net, hi), hi)
-            for nxt in net_gates[out_net]:
-                if nxt not in queued:
-                    queued.add(nxt)
-                    heapq.heappush(heap, (topo_index[nxt], nxt))
+    def publish(net: str, window: _Window) -> None:
+        if net in last_reader:
+            arrivals[net] = window
+        for dst in sinks.get(net, ()):
+            for src, (lo, hi) in window.items():
+                _widen(edges, (src, dst), lo, hi)
 
-        # Harvest sinks.
-        sinks: dict[str, tuple[float, float]] = {}
-        for net_name, hi in max_arr.items():
-            lo = min_arr[net_name]
-            for ref in module.nets[net_name].loads:
-                if isinstance(ref, PortRef):
-                    if include_ports:
-                        _accumulate(sinks, PO_SINK, lo, hi)
-                    continue
-                sink = module.instances[ref.instance]
-                if sink.is_sequential and ref.pin == "D":
-                    _accumulate(sinks, sink.name, lo, hi)
-        for dst, (lo, hi) in sinks.items():
-            key = (src_name, dst)
-            if key in edges:
-                old_lo, old_hi = edges[key]
-                edges[key] = (min(old_lo, lo), max(old_hi, hi))
-            else:
-                edges[key] = (lo, hi)
+    registers = []
+    for inst in module.sequential_instances():
+        registers.append(inst.name)
+        q_net = inst.conns.get("Q")
+        if q_net is not None:
+            launch = cell_delay(module, inst, wire_caps)
+            publish(q_net, {inst.name: (launch, launch)})
+    if include_ports:
+        for port in module.data_input_ports():
+            publish(port, {PI_SOURCE: (0.0, 0.0)})
+
+    for i, name in enumerate(topo):
+        ins = gate_inputs[i]
+        windows = [arrivals[n] for n in ins if n in arrivals]
+        inst = instances[name]
+        out_net = inst.conns.get(inst.cell.output_pin)
+        if windows and out_net is not None:
+            merged = windows[0]
+            if len(windows) > 1:
+                merged = dict(merged)
+                for window in windows[1:]:
+                    for src, (lo, hi) in window.items():
+                        _widen(merged, src, lo, hi)
+            delay = cell_delay(module, inst, wire_caps)
+            publish(out_net, {src: (lo + delay, hi + delay)
+                              for src, (lo, hi) in merged.items()})
+        for net in ins:
+            if last_reader[net] == i:
+                arrivals.pop(net, None)
 
     return TimingGraph(
         registers=registers,
@@ -137,11 +145,12 @@ def extract_timing_graph(
     )
 
 
-def _accumulate(
-    sinks: dict[str, tuple[float, float]], name: str, lo: float, hi: float
-) -> None:
-    if name in sinks:
-        old_lo, old_hi = sinks[name]
-        sinks[name] = (min(old_lo, lo), max(old_hi, hi))
+def _widen(windows: dict, key, lo: float, hi: float) -> None:
+    """Widen ``windows[key]`` to cover ``(lo, hi)``; min and max are exact,
+    so the result does not depend on the order windows are merged in."""
+    old = windows.get(key)
+    if old is None:
+        windows[key] = (lo, hi)
     else:
-        sinks[name] = (lo, hi)
+        windows[key] = (lo if lo < old[0] else old[0],
+                        hi if hi > old[1] else old[1])

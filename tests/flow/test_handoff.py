@@ -300,8 +300,14 @@ def _v2_payload(key, value):
     return (*head, {key[0]: run_s})
 
 
+def _v3_payload(key, value):
+    """v3: today's tuple; its pickled cells lack the derived pin roles."""
+    return value
+
+
 @pytest.mark.parametrize("version,payload", [
-    ("v1", _v1_payload), ("v2", _v2_payload)], ids=["v1", "v2"])
+    ("v1", _v1_payload), ("v2", _v2_payload), ("v3", _v3_payload)],
+    ids=["v1", "v2", "v3"])
 def test_previous_format_directory_is_never_read(tmp_path, monkeypatch,
                                                  version, payload):
     """Entries written by an older format (its payload layout, under its

@@ -1,6 +1,9 @@
 """Observability integration: the pipeline under a live tracer."""
 
+import importlib.util
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +60,37 @@ class TestTracedRunFlow:
         assert {"ilp.solve", "convert.rewrite", "sta.analyze",
                 "sim.compile", "sim.run", "pnr.place", "pnr.cts.tree",
                 "pnr.route"} <= names
+
+    def test_graph_extractions_in_hold_fix_are_sta_spans(self, traced):
+        tracer, _ = traced
+        by_id = {s.span_id: s for s in tracer.spans}
+
+        def stage_of(span):
+            while not span.name.startswith("stage."):
+                span = by_id[span.parent_id]
+            return span.name
+
+        graphs = [s for s in tracer.spans if s.name == "sta.graph"]
+        assert "stage.hold_fix" in {stage_of(s) for s in graphs}
+        for span in graphs:
+            assert span.attrs["registers"] > 0
+            assert span.attrs["edges"] > 0
+
+    def test_bench_sta_calls_count_analyses_only(self, traced, monkeypatch):
+        tracer, _ = traced
+        path = (Path(__file__).resolve().parents[2]
+                / "benchmarks" / "flow" / "bench_flow.py")
+        spec = importlib.util.spec_from_file_location("bench_flow", path)
+        bench_flow = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "bench_flow", bench_flow)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec.loader.exec_module(bench_flow)
+        layers = bench_flow._traced_layers(
+            tracer.spans, {"call_s": 0.0, "produce_s": 0.0})
+        analyses = sum(s.name == "sta.analyze" for s in tracer.spans)
+        graphs = sum(s.name == "sta.graph" for s in tracer.spans)
+        assert layers["sta.calls"] == analyses
+        assert graphs > analyses  # hold-fix extracts outside analyze
 
     def test_metrics_collected(self, traced):
         tracer, _ = traced

@@ -146,3 +146,45 @@ class TestBalanceMode:
         bal_tol = sigma_tolerance(balanced.module, balanced.clocks,
                                   samples=3)
         assert bal_tol >= lazy_tol
+
+
+class TestReanalysis:
+    """The final report is re-derived only when a pass changed the module."""
+
+    @pytest.mark.parametrize("balance", [False, True], ids=["area", "balance"])
+    def test_timing_after_describes_the_final_module(self, balance):
+        _, _, result, _ = tight_pipeline()
+        rr = retime_forward(result.module, result.clocks, FDSOI28,
+                            balance=balance)
+        assert rr.timing_after == analyze(result.module, result.clocks)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_circuits_final_report(self, seed):
+        module = random_sequential_circuit(seed + 900, n_ffs=10, n_gates=50,
+                                           feedback=0.3)
+        mapped = synthesize(module, FDSOI28).module
+        result = convert_to_three_phase(mapped, FDSOI28, period=600.0)
+        rr = retime_forward(result.module, result.clocks, FDSOI28,
+                            balance=True)
+        assert rr.timing_after == analyze(result.module, result.clocks)
+
+    def test_pass_without_moves_is_not_reanalyzed(self, monkeypatch):
+        from repro.retime import forward
+
+        calls = []
+
+        def counted(module, clocks, **kwargs):
+            calls.append(module.name)
+            return analyze(module, clocks, **kwargs)
+
+        monkeypatch.setattr(forward, "analyze", counted)
+        monkeypatch.setattr(forward, "_balance_moves", lambda *args: None)
+        monkeypatch.setattr(forward, "_area_moves", lambda *args: None)
+        module = linear_pipeline(4, width=2, logic_depth=3, seed=5)
+        mapped = synthesize(module, FDSOI28).module
+        result = convert_to_three_phase(mapped, FDSOI28, period=4000.0)
+        rr = retime_forward(result.module, result.clocks, FDSOI28,
+                            balance=True)
+        assert rr.moves == 0
+        assert len(calls) == 1  # timing_before only
+        assert rr.timing_after is rr.timing_before
