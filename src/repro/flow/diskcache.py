@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: bump when the key schema or payload layout changes incompatibly;
 #: entries written under another version hash to different paths and
 #: simply age out via ``gc``.
-DISK_FORMAT = "repro-diskcache-v4"
+DISK_FORMAT = "repro-diskcache-v5"
 
 _MARKER = "CACHE_FORMAT"
 
@@ -153,15 +153,17 @@ class DiskCache:
 
     # -- load / store --------------------------------------------------------
 
-    def load(self, key: tuple) -> object | None:
-        """The stored artifact, or None on miss *or* unreadable entry."""
+    def load(self, key: tuple) -> tuple[object | None, int]:
+        """``(artifact, entry bytes)``; ``(None, 0)`` on a miss *or* an
+        unreadable entry."""
         path = self._entry_path(key)
         self.loads += 1
         try:
             with open(path, "rb") as fh:
                 value = pickle.load(fh)
+                size = os.fstat(fh.fileno()).st_size
         except FileNotFoundError:
-            return None
+            return None, 0
         except Exception:
             # Truncated/corrupt/incompatible entry: drop it and miss, so
             # the producer re-creates it.  Never let a bad cache file
@@ -171,27 +173,29 @@ class DiskCache:
                 path.unlink()
             except OSError:
                 pass
-            return None
+            return None, 0
         self.load_hits += 1
-        return value
+        return value, size
 
-    def store(self, key: tuple, value: object) -> bool:
-        """Pickle ``value`` under ``key`` atomically; False if unpicklable."""
+    def store(self, key: tuple, value: object) -> int:
+        """Pickle ``value`` under ``key`` atomically; returns the entry's
+        size in bytes, 0 if ``value`` is unpicklable."""
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.stem}.tmp{os.getpid()}")
         try:
             with open(tmp, "wb") as fh:
                 pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+                size = fh.tell()
             os.replace(tmp, path)
         except Exception:
             try:
                 tmp.unlink()
             except OSError:
                 pass
-            return False
+            return 0
         self.stores += 1
-        return True
+        return size
 
     # -- maintenance (the ``repro cache`` CLI) -------------------------------
 

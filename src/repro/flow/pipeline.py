@@ -188,13 +188,15 @@ class ArtifactCache:
         with self.disk.lock(key) as flock:
             lock_wait += flock.wait_s
             obs.record("cache.disk_lock_wait_s", flock.wait_s)
-            value = self.disk.load(key)
+            value, size = self.disk.load(key)
             if value is not None:
                 obs.add("cache.disk_hits")
+                obs.add("cache.disk_load_bytes", size)
                 return value, True, lock_wait
             value = producer()
-            self.disk.store(key, value)
+            size = self.disk.store(key, value)
             obs.add("cache.disk_stores")
+            obs.add("cache.disk_store_bytes", size)
             return value, False, lock_wait
 
     # -- introspection ------------------------------------------------------
@@ -432,7 +434,7 @@ class SynthStage(Stage):
     """
 
     name = "synth"
-    produces = ("synth",)
+    produces = ("ff_reference",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return (options.clock_gating_style,)
@@ -445,7 +447,9 @@ class SynthStage(Stage):
             clock_gating_style=ctx.options.clock_gating_style,
         )
         ctx.module = synth.module
-        ctx.artifacts["synth"] = None  # reports are not carried downstream
+        # the verify gate miters the converted netlist against this one;
+        # it is the very object handed on, so the payload stores it once
+        ctx.artifacts["ff_reference"] = synth.module
         return {
             "cells": len(synth.module.instances),
             "icgs_inferred": synth.gating.icgs_added,
@@ -494,7 +498,7 @@ class ConvertThreePhaseStage(Stage):
 
     name = "convert"
     inputs = ("assignment",)
-    produces = ("clocks", "ff_reference")
+    produces = ("clocks",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return ("3p", options.period)
@@ -502,9 +506,6 @@ class ConvertThreePhaseStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.convert import convert_to_three_phase
 
-        # keep the pre-conversion FF module: the verify gate miters the
-        # converted netlist against it (conversion copies its input)
-        ctx.artifacts["ff_reference"] = ctx.module
         converted = convert_to_three_phase(
             ctx.module, ctx.library,
             assignment=ctx.artifacts["assignment"],
@@ -519,7 +520,7 @@ class ConvertMasterSlaveStage(Stage):
     """Baseline 2: split each FF into master + slave latches."""
 
     name = "convert"
-    produces = ("clocks", "ff_reference")
+    produces = ("clocks",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return ("ms", options.period)
@@ -527,7 +528,6 @@ class ConvertMasterSlaveStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.convert import convert_to_master_slave
 
-        ctx.artifacts["ff_reference"] = ctx.module
         ms = convert_to_master_slave(
             ctx.module, ctx.library, ctx.options.period)
         ctx.module, ctx.clocks = ms.module, ms.clocks
@@ -539,7 +539,7 @@ class ConvertPulsedStage(Stage):
     """The Sec. I pulsed-latch alternative (hold-cost ablation)."""
 
     name = "convert"
-    produces = ("clocks", "ff_reference")
+    produces = ("clocks",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return ("pulsed", options.period)
@@ -547,7 +547,6 @@ class ConvertPulsedStage(Stage):
     def run(self, ctx: StageContext) -> dict[str, object]:
         from repro.convert.pulsed import convert_to_pulsed_latch
 
-        ctx.artifacts["ff_reference"] = ctx.module
         pulsed = convert_to_pulsed_latch(
             ctx.module, ctx.library, ctx.options.period)
         ctx.module, ctx.clocks = pulsed.module, pulsed.clocks
@@ -770,7 +769,7 @@ class VerifyStage(Stage):
     conversion/retiming stages (before clock gating, whose DDCG enables
     are justified by activity rather than by structure): every register
     and output cone of the converted design is compared against the
-    post-synthesis FF module stashed by the conversion stage
+    post-synthesis FF module stashed by the synthesis stage
     (``ff_reference``), per :mod:`repro.verify`.  SAT counterexamples
     are replayed through the reference simulator before they count as
     errors; the flow aborts when findings reach
@@ -782,7 +781,7 @@ class VerifyStage(Stage):
     """
 
     name = "verify"
-    inputs = ("clocks",)
+    inputs = ("clocks", "ff_reference")
     produces = ("verify",)
 
     def enabled(self, options: "FlowOptions") -> bool:
@@ -796,9 +795,8 @@ class VerifyStage(Stage):
         from repro.verify import EquivalenceChecker, VerifyGateError
 
         options = ctx.options
-        ff_ref = ctx.artifacts.get("ff_reference", ctx.module)
         checker = EquivalenceChecker(
-            ff_ref, ctx.module, options.style, ctx.clocks,
+            ctx.artifacts["ff_reference"], ctx.module, options.style, ctx.clocks,
             design=ctx.design.name,
             cone_cache=ctx.cache.disk if ctx.cache is not None else None,
             conflict_budget=options.verify_conflict_budget,
@@ -822,11 +820,15 @@ class VerifyStage(Stage):
 
 
 class SimulateStage(Stage):
-    """Workload simulation collecting switching activity."""
+    """Workload simulation collecting switching activity.
+
+    Hands on only the per-net toggle counts (``activity``), the one
+    thing ``power`` reads; the simulator dies with the stage.
+    """
 
     name = "sim"
     inputs = ("clocks",)
-    produces = ("bench",)
+    produces = ("activity",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
         return (options.sim_cycles, options.warmup_cycles, options.profile,
@@ -834,12 +836,12 @@ class SimulateStage(Stage):
 
     def run(self, ctx: StageContext) -> dict[str, object]:
         options = ctx.options
-        bench, stats = _simulate(
+        toggles, stats = _simulate(
             ctx.design, ctx.module, ctx.clocks, options, options.sim_cycles,
             delay_model=options.sim_delay_model,
             warmup=options.warmup_cycles,
         )
-        ctx.artifacts["bench"] = bench
+        ctx.artifacts["activity"] = toggles
         return {"cycles": options.sim_cycles, **stats}
 
 
@@ -847,7 +849,7 @@ class PowerStage(Stage):
     """Activity-based power with the Clock/Seq/Comb decomposition."""
 
     name = "power"
-    inputs = ("bench", "physical")
+    inputs = ("activity", "physical")
     produces = ("power",)
 
     def options_key(self, options: "FlowOptions") -> Hashable:
@@ -857,11 +859,10 @@ class PowerStage(Stage):
         from repro.power import measure_power
 
         options = ctx.options
-        bench = ctx.artifacts["bench"]
         physical = ctx.artifacts["physical"]
         measured_cycles = options.sim_cycles - options.warmup_cycles
         power = measure_power(
-            ctx.module, ctx.library, bench.simulator.toggles,
+            ctx.module, ctx.library, ctx.artifacts["activity"],
             cycles=measured_cycles, period=options.period,
             wire_caps=physical.wire_caps,
             design_name=f"{ctx.design.name}/{options.style}",
@@ -873,14 +874,14 @@ class PowerStage(Stage):
 def _simulate(
     source: Module, module: Module, clocks: ClockSpec, options: "FlowOptions",
     cycles: int, delay_model: str, warmup: int,
-) -> tuple[object, dict[str, object]]:
+) -> tuple[dict[str, int], dict[str, object]]:
     """Simulate ``module`` on ``cycles`` cycles of stimulus generated from
     ``source``'s ports, collecting toggle activity after ``warmup``.
 
     With ``options.sim_lanes > 1`` this is one word-packed batch pass
     whose simulator exposes lane-averaged toggles through the same
-    contract.  Returns the testbench and the kernel throughput stats for
-    the stage's :class:`StageRecord` summary.
+    contract.  Returns the per-net toggle counts and the kernel
+    throughput stats for the stage's :class:`StageRecord` summary.
     """
     from repro.sim import (
         generate_batch_stimulus,
@@ -895,16 +896,16 @@ def _simulate(
             source, cycles, profile=options.profile, seed=options.seed,
             lanes=lanes,
         )
-        bench = run_batch_testbench(module, clocks, stimulus,
-                                    delay_model=delay_model,
-                                    activity_warmup=warmup)
+        testbench = run_batch_testbench(module, clocks, stimulus,
+                                        delay_model=delay_model,
+                                        activity_warmup=warmup)
     else:
         vectors = generate_vectors(
             source, cycles, profile=options.profile, seed=options.seed)
-        bench = run_testbench(module, clocks, vectors,
-                              delay_model=delay_model,
-                              activity_warmup=warmup)
-    sim = bench.simulator
+        testbench = run_testbench(module, clocks, vectors,
+                                  delay_model=delay_model,
+                                  activity_warmup=warmup)
+    sim = testbench.simulator
     stats = {
         "sim_events": sim.events_processed,
         "sim_compile_s": round(sim.compile_seconds, 6),
@@ -912,7 +913,7 @@ def _simulate(
     }
     if lanes > 1:
         stats["sim_lanes"] = lanes
-    return bench, stats
+    return sim.toggles, stats
 
 
 def _profile_activity(
@@ -925,10 +926,10 @@ def _profile_activity(
     kernel throughput stats for the stage's :class:`StageRecord` summary.
     """
     warmup = min(8, options.profile_cycles // 4)
-    bench, stats = _simulate(module, module, clocks, options,
-                             options.profile_cycles, delay_model="unit",
-                             warmup=warmup)
-    return bench.simulator.toggles, options.profile_cycles - warmup, stats
+    toggles, stats = _simulate(module, module, clocks, options,
+                               options.profile_cycles, delay_model="unit",
+                               warmup=warmup)
+    return toggles, options.profile_cycles - warmup, stats
 
 
 # ---------------------------------------------------------------------------

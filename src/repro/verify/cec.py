@@ -504,7 +504,7 @@ class EquivalenceChecker:
             digest = hashlib.sha256(
                 repr((miter, clauses)).encode()).hexdigest()
             key = ("verify_cone", digest)
-            payload = self.cone_cache.load(key)
+            payload, _size = self.cone_cache.load(key)
             if isinstance(payload, dict) and "status" in payload:
                 self.cache_hits += 1
                 obs.add("verify.cone_cache_hits")

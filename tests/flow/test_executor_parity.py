@@ -161,17 +161,17 @@ class TestDiskCache:
         assert cache.store(key, {"payload": 1})
         entry = next(tmp_path.glob("synth/*/*.pkl"))
         entry.write_bytes(b"not a pickle")
-        assert cache.load(key) is None
+        assert cache.load(key) == (None, 0)
         assert cache.dropped_corrupt == 1
         assert not entry.exists()
         # the producer path re-creates it
         assert cache.store(key, {"payload": 1})
-        assert cache.load(key) == {"payload": 1}
+        assert cache.load(key)[0] == {"payload": 1}
 
     def test_unpicklable_value_degrades_to_no_store(self, tmp_path):
         cache = DiskCache(tmp_path)
-        assert cache.store(("stage", "k"), lambda: None) is False
-        assert cache.load(("stage", "k")) is None
+        assert cache.store(("stage", "k"), lambda: None) == 0
+        assert cache.load(("stage", "k")) == (None, 0)
 
     def test_stats_gc_clear(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -221,7 +221,7 @@ class TestDiskCache:
         cache = DiskCache(tmp_path)
         payload = {"nested": [1, 2.5, "three", (4,)], "flag": True}
         cache.store(("stage", "rt"), payload)
-        loaded = cache.load(("stage", "rt"))
+        loaded, _size = cache.load(("stage", "rt"))
         assert loaded == payload
         assert pickle.dumps(loaded) == pickle.dumps(payload)
 

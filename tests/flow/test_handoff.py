@@ -305,9 +305,16 @@ def _v3_payload(key, value):
     return value
 
 
+def _v4_payload(key, value):
+    """v4: today's tuple; its sim artifact was a whole testbench and its
+    convert artifacts repeated the FF reference netlist."""
+    return value
+
+
 @pytest.mark.parametrize("version,payload", [
-    ("v1", _v1_payload), ("v2", _v2_payload), ("v3", _v3_payload)],
-    ids=["v1", "v2", "v3"])
+    ("v1", _v1_payload), ("v2", _v2_payload), ("v3", _v3_payload),
+    ("v4", _v4_payload)],
+    ids=["v1", "v2", "v3", "v4"])
 def test_previous_format_directory_is_never_read(tmp_path, monkeypatch,
                                                  version, payload):
     """Entries written by an older format (its payload layout, under its
