@@ -8,7 +8,7 @@ open, so EN is stable during the whole high period of ``p`` and hazards
 cannot occur (Sec. IV-D, Fig. 3c2).
 
 Primary inputs do not block the removal: under the testbench/interface
-convention they change strictly between phase windows (at 0.3*T, outside
+convention they change strictly between phase windows (at 0.27*T, outside
 p1/p2/p3 high intervals), like the paper's "PIs as if clocked by p1"
 assumption.
 """

@@ -40,6 +40,12 @@ with that lane's stimulus stream.  The mechanism:
   transparent on the per-lane ``G == 1`` mask, and ICG enable-latch
   state is itself word-packed.
 
+The netlist tables -- net ids, subscriber lists, capture groups, t = 0
+values, clock schedule -- come from the lowering the solo kernel uses
+(:class:`~repro.sim.lower.Lowering`); this engine adds its word codes
+for combinational cells, a lane-mask dirty flag per capture-group
+member, and the word-level event loop.
+
 What stays single-lane: ``watch()``/VCD recording (waveforms are a
 debugging path; use the compiled or reference engine) -- see
 ``docs/sim_kernel.md``.
@@ -51,21 +57,33 @@ import heapq
 from time import perf_counter
 
 from repro import obs
-from repro.library.cell import CellKind, PinDirection
 from repro.netlist.core import Module
-from repro.sim.kernel import SimulationError, cell_delay
 from repro.sim.logic import EVAL, X
+from repro.sim.lower import (
+    GATE,
+    ICG_CK,
+    ICG_EN,
+    ICG_PB,
+    LATCH_D,
+    MARK,
+    MUX2,
+    RISE,
+    Lowering,
+    SimulationError,
+    event_limit_error,
+)
 from repro.convert.clocks import ClockSpec
 
 #: widest batch one machine word carries (CPython ints stay "medium"
 #: sized up to 64 bits, so word ops are O(1) at or below this).
 MAX_LANES = 64
 
-# Action codes, ordered hottest-first for the dispatch chain.  Two-input
-# AND/OR/NAND/NOR and XOR/XNOR get dedicated codes with the operand net
-# ids pre-unpacked into the entry tuple -- they are the bulk of every
-# netlist here and skipping the inner input loop (and its iterator
-# allocation) is worth ~15% of the event loop.
+# Combinational action codes of this engine (the shared codes of
+# repro.sim.lower are all >= 16), ordered for the dispatch chain's range
+# tests.  Two-input AND/OR/NAND/NOR and XOR/XNOR get dedicated codes with
+# the operand net ids pre-unpacked into the entry tuple -- they are the
+# bulk of every netlist here and skipping the inner input loop (and its
+# iterator allocation) is worth ~15% of the event loop.
 _AND2 = 0
 _OR2 = 1
 _NAND2 = 2
@@ -80,15 +98,6 @@ _XOR = 10
 _XNOR = 11
 _NOT = 12
 _BUF = 13
-_RISE = 14
-_MARK = 15
-_MUX2 = 16
-_GATE = 17  # generic fallback: per-lane scalar eval (rare ops)
-_LATCH_D = 18
-_ICG_CK = 19
-_ICG_EN = 20
-_ICG_PB = 21
-_ICG_AND = 22
 
 _OP_CODES = {
     "AND": _AND, "NAND": _NAND, "OR": _OR, "NOR": _NOR,
@@ -99,7 +108,18 @@ _OP_CODES_2IN = {
     "XOR": _XOR2, "XNOR": _XNOR2,
 }
 
-_NO_NET = -1
+
+def _comb_entry(op: str, in_ids: tuple[int, ...], out: int, delay: float):
+    """This engine's subscriber entry for a combinational cell, or None
+    for the shared generic fallback."""
+    code = _OP_CODES.get(op)
+    if code is None:
+        return None
+    if code == _NOT or code == _BUF:
+        return (code, in_ids[0], out, delay)
+    if len(in_ids) == 2 and op in _OP_CODES_2IN:
+        return (_OP_CODES_2IN[op], in_ids[0], in_ids[1], out, delay)
+    return (code, in_ids, out, delay)
 
 
 def _plane_total(planes: list[int]) -> int:
@@ -150,14 +170,21 @@ class BatchKernel:
         full = (1 << lanes) - 1
         self._full = full
 
-        # -- net interning (same order as CompiledKernel) --------------------
-        names = list(module.nets)
-        nid = {name: i for i, name in enumerate(names)}
-        n_nets = len(names)
-        x_slot = n_nets
-        self._net_names = names
-        self._net_id = nid
-        self._x_slot = x_slot
+        # The dirty flag of a capture-group member is a lane mask: a
+        # rising edge in lanes R scans only registers whose D changed in
+        # some lane of R since that lane's last scan, and clears exactly
+        # those bits.
+        low = Lowering(module, clocks, delay_model, _comb_entry,
+                       lambda n: [full] * n)
+        n_nets = low.x_slot
+        self._net_names = low.net_names
+        self._net_id = low.net_id
+        self._x_slot = low.x_slot
+        self._loads = low.loads
+        self._rise_group = low.rise_group
+        self._clock = low.clock
+        self._icg_v: list[int] = [0] * low.n_icg
+        self._icg_x: list[int] = [full] * low.n_icg
         # canonical all-X start: v = 0, x = full
         self._vals_v = [0] * (n_nets + 1)
         self._vals_x = [full] * (n_nets + 1)
@@ -172,177 +199,21 @@ class BatchKernel:
         self._buckets: dict[float, list[tuple[int, int, int, int]]] = {}
         self._times: list[float] = []
 
-        def net(name: str) -> int:
-            return nid[name] if name else x_slot
-
-        # -- per-instance lowering (iteration order matches the solo
-        # engines, so per-lane push order lines up event for event) ----------
-        gate_of: dict[str, tuple] = {}
-        seq_of: dict[str, tuple] = {}
-        icg_of: dict[str, tuple] = {}
-        self._icg_v: list[int] = []
-        self._icg_x: list[int] = []
-        for inst in module.instances.values():
-            out_pins = inst.cell.output_pins
-            out = net(inst.conns.get(out_pins[0], "")) if out_pins else x_slot
-            delay = cell_delay(module, inst, delay_model)
-            kind = inst.cell.kind
-            if kind is CellKind.COMB or kind is CellKind.TIE:
-                in_ids = tuple(
-                    net(inst.conns.get(p, "")) for p in inst.cell.input_pins
-                )
-                gate_of[inst.name] = (inst.cell.op, in_ids, out, delay)
-            elif inst.is_sequential:
-                clock_pin = inst.cell.clock_pin
-                seq_of[inst.name] = (
-                    net(inst.conns.get("D", "")),
-                    net(inst.conns.get(clock_pin, "")),
-                    out,
-                    delay,
-                )
-            elif kind is CellKind.ICG:
-                icg_idx = -1
-                if inst.cell.op != "ICG_AND":
-                    icg_idx = len(self._icg_v)
-                    self._icg_v.append(0)
-                    self._icg_x.append(full)
-                icg_of[inst.name] = (
-                    icg_idx,
-                    net(inst.conns.get("EN", "")),
-                    net(inst.conns.get("CK", "")),
-                    net(inst.conns.get("PB", "")) if "PB" in inst.conns
-                    else _NO_NET,
-                    out,
-                )
-
-        # -- flatten subscriber lists (same structure as CompiledKernel) -----
-        loads: list[list[tuple]] = [[] for _ in range(n_nets + 1)]
-        for inst in module.instances.values():
-            op = inst.cell.op
-            for pin_name, net_name in inst.conns.items():
-                if inst.cell.pin(pin_name).direction is not PinDirection.INPUT:
-                    continue
-                entry = None
-                if inst.name in gate_of:
-                    gop, in_ids, out, delay = gate_of[inst.name]
-                    if out != x_slot:
-                        if gop == "MUX2":
-                            a, b, s = in_ids
-                            entry = (_MUX2, a, b, s, out, delay)
-                        elif gop in _OP_CODES:
-                            code = _OP_CODES[gop]
-                            if code == _NOT or code == _BUF:
-                                entry = (code, in_ids[0], out, delay)
-                            elif len(in_ids) == 2 and gop in _OP_CODES_2IN:
-                                entry = (_OP_CODES_2IN[gop], in_ids[0],
-                                         in_ids[1], out, delay)
-                            else:
-                                entry = (code, in_ids, out, delay)
-                        else:
-                            entry = (_GATE, EVAL[gop], in_ids, out, delay)
-                elif op == "DFF":
-                    if pin_name == "CK":
-                        data, _, out, delay = seq_of[inst.name]
-                        if out != x_slot:
-                            entry = (_RISE, data, out, delay)
-                elif op == "DLATCH":
-                    data, ck, out, delay = seq_of[inst.name]
-                    if out != x_slot:
-                        if pin_name == "G":
-                            entry = (_RISE, data, out, delay)
-                        else:
-                            entry = (_LATCH_D, ck, data, out, delay)
-                elif op == "ICG_AND":
-                    _, en, ck, _, out = icg_of[inst.name]
-                    entry = (_ICG_AND, en, ck, out)
-                elif op in ("ICG", "ICG_M1"):
-                    icg_idx, en, ck, pb, out = icg_of[inst.name]
-                    if pin_name == "CK":
-                        entry = (_ICG_CK, icg_idx, en, out)
-                    elif pin_name == "EN":
-                        # transparency test pre-resolved exactly like the
-                        # solo kernel: (net to test, required value)
-                        if op == "ICG_M1":
-                            if pb != _NO_NET:
-                                trans_id, trans_val = pb, 1
-                            else:
-                                trans_id, trans_val = x_slot, -2
-                        else:
-                            trans_id, trans_val = ck, 0
-                        entry = (_ICG_EN, icg_idx, trans_id, trans_val,
-                                 ck, out)
-                    else:
-                        entry = (_ICG_PB, icg_idx, en, ck, out)
-                if entry is not None:
-                    loads[net(net_name)].append(entry)
-        self._loads = loads
-
-        # -- capture groups with per-register dirty *masks* ------------------
-        # Same construction as the solo kernel, but the dirty flag is a
-        # lane mask: a rising edge in lanes R scans only registers whose
-        # D changed in some lane of R since that lane's last scan, and
-        # clears exactly those bits.  Scan order is sorted subscriber
-        # position, so per-lane push order matches a full scan (and the
-        # solo kernel's own capture groups).
-        groups: dict[int, tuple[list[tuple], list[int], list[int]]] = {}
-        for i, lst in enumerate(loads):
-            if lst and all(e[0] == _RISE for e in lst):
-                cap = [(e[1], e[2], e[3]) for e in lst]
-                groups[i] = (cap, [full] * len(cap), list(range(len(cap))))
-        marks = [
-            (data, gnet, pos)
-            for gnet, (cap, _, _) in groups.items()
-            for pos, (data, _out, _delay) in enumerate(cap)
-            if data != x_slot
-        ]
-        for demoted in {data for data, _, _ in marks if data in groups}:
-            del groups[demoted]
-        for data, gnet, pos in marks:
-            if gnet in groups:
-                _cap, dmasks, dirty = groups[gnet]
-                loads[data].append((_MARK, dmasks, dirty, pos))
-        self._rise_group: list[tuple | None] = [
-            groups.get(i) for i in range(n_nets + 1)
-        ]
-
-        # -- clock schedule --------------------------------------------------
-        self._clock_horizon = 0.0
-        self._phases: list[tuple[int, float, float, bool]] = []
-        if clocks is not None:
-            for phase in clocks.phases:
-                if phase.name in nid:
-                    self._phases.append(
-                        (nid[phase.name], phase.rise, phase.fall,
-                         phase.skip_first)
-                    )
-                    i = nid[phase.name]
-                    self._vals_v[i] = (
-                        full if clocks.is_high(phase.name, 0.0) else 0
-                    )
-                    self._vals_x[i] = 0
-
-        # -- sequential/tie initialization at t = 0 --------------------------
-        for inst in module.instances.values():
-            if inst.is_sequential:
-                init = inst.attrs.get("init")
-                if init is not None and seq_of[inst.name][2] != x_slot:
-                    out = seq_of[inst.name][2]
-                    self._vals_v[out] = full if int(init) else 0
-                    self._vals_x[out] = 0
-            elif inst.cell.kind is CellKind.TIE:
-                out = gate_of[inst.name][2]
-                if out != x_slot:
-                    self._vals_v[out] = (
-                        full if inst.cell.op == "TIE1" else 0)
-                    self._vals_x[out] = 0
+        for net, value in low.initial:
+            self._vals_v[net] = full if value else 0
+            self._vals_x[net] = 0
         self._pend_v = list(self._vals_v)
         self._pend_x = list(self._vals_x)
-        # Evaluate all combinational cells once so constants propagate
-        # (word-level replay of the solo kernel's initial sweep).
-        for gop, in_ids, out, _delay in gate_of.values():
-            if out != x_slot:
-                nv, nx = self._eval_word(gop, in_ids)
-                self._push(0.0, out, nv, nx)
+        # Evaluate all combinational cells once so constants propagate.
+        # Every lane holds the same value before t = 0, so each cell is
+        # evaluated on lane 0 and the result broadcast.
+        vals_v = self._vals_v
+        vals_x = self._vals_x
+        for op, in_ids, out in low.sweep:
+            r = EVAL[op]([X if vals_x[i] & 1 else vals_v[i] & 1
+                          for i in in_ids])
+            self._push(0.0, out, full if r == 1 else 0,
+                       full if r == X else 0)
         self.compile_seconds = perf_counter() - t_compile
         obs.add("sim.compiles")
 
@@ -390,8 +261,15 @@ class BatchKernel:
             for i, name in enumerate(self._net_names)
         }
 
+    def _check_lane(self, lane: int) -> None:
+        if not 0 <= lane < self.lanes:
+            raise SimulationError(
+                f"lane {lane} is out of range: this batch runs lanes "
+                f"0..{self.lanes - 1}")
+
     def lane_toggles(self, lane: int) -> dict[str, int]:
         """Exact per-net toggle counts of one lane."""
+        self._check_lane(lane)
         self._fold_toggles()
         planes = self._toggle_planes
         return {name: _plane_lane(planes[i], lane)
@@ -405,6 +283,7 @@ class BatchKernel:
 
     def lane_events(self, lane: int) -> int:
         """Events lane ``lane`` would have processed running solo."""
+        self._check_lane(lane)
         self._fold_events()
         return _plane_lane(self._event_planes, lane)
 
@@ -506,12 +385,7 @@ class BatchKernel:
                     self.word_events = word_events
                     self.now = time
                     self.run_seconds += perf_counter() - t_run
-                    raise SimulationError(
-                        f"event limit {limit} exceeded at t={time}; "
-                        "the design is likely oscillating (e.g. racing "
-                        "through simultaneously transparent latches -- run "
-                        "hold fixing)"
-                    )
+                    raise event_limit_error(limit, time)
                 # Solo engines count a pop before the no-change test, so
                 # the *scheduled* mask is what accrues per-lane events.
                 ev_append(emask)
@@ -669,7 +543,7 @@ class BatchKernel:
                             if code == _XNOR:
                                 acc ^= full
                             nv2 = acc & ~nx2
-                    elif code == _RISE:
+                    elif code == RISE:
                         if not rise:
                             continue
                         _, data, out, delay = entry
@@ -677,13 +551,13 @@ class BatchKernel:
                         px = pend_x[out]
                         nv2 = (pv & ~rise) | (vals_v[data] & rise)
                         nx2 = (px & ~rise) | (vals_x[data] & rise)
-                    elif code == _MARK:
+                    elif code == MARK:
                         _, dmasks, dirty, pos = entry
                         if not dmasks[pos]:
                             dirty.append(pos)
                         dmasks[pos] |= change
                         continue
-                    elif code == _MUX2:
+                    elif code == MUX2:
                         _, a, b, s, out, delay = entry
                         sv = vals_v[s]
                         sx = vals_x[s]
@@ -695,7 +569,7 @@ class BatchKernel:
                         nv2 = ((s0 & av) | (sv & bv) | (sx & agree & av)) \
                             & known
                         nx2 = full ^ known
-                    elif code == _GATE:
+                    elif code == GATE:
                         _, func, in_ids, out, delay = entry
                         nv2 = 0
                         nx2 = 0
@@ -711,7 +585,7 @@ class BatchKernel:
                                 nx2 |= 1 << lane_bit
                             elif r:
                                 nv2 |= 1 << lane_bit
-                    elif code == _LATCH_D:
+                    elif code == LATCH_D:
                         _, ck, data, out, delay = entry
                         m = change & vals_v[ck]  # lanes with G known-1
                         if not m:
@@ -720,7 +594,7 @@ class BatchKernel:
                         px = pend_x[out]
                         nv2 = (pv & ~m) | (vals_v[data] & m)
                         nx2 = (px & ~m) | (vals_x[data] & m)
-                    elif code == _ICG_CK:
+                    elif code == ICG_CK:
                         _, icg_idx, en, out = entry
                         nvn = vals_v[net]
                         nxn = vals_x[net]
@@ -745,7 +619,7 @@ class BatchKernel:
                         nv2 = (pv & ~change) | (gv & change & known)
                         nx2 = (px & ~change) | ((full ^ known) & change)
                         delay = 0.0
-                    elif code == _ICG_EN:
+                    elif code == ICG_EN:
                         _, icg_idx, trans_id, trans_val, ck, out = entry
                         if trans_val == 1:
                             tm = vals_v[trans_id]
@@ -772,7 +646,7 @@ class BatchKernel:
                         nv2 = (pv & ~m) | (gv & m & known)
                         nx2 = (px & ~m) | ((full ^ known) & m)
                         delay = 0.0
-                    elif code == _ICG_PB:
+                    elif code == ICG_PB:
                         _, icg_idx, en, ck, out = entry
                         m = change & vals_v[net]  # PB known-1 lanes
                         if not m:
@@ -793,7 +667,7 @@ class BatchKernel:
                         nv2 = (pv & ~m) | (gv & m & known)
                         nx2 = (px & ~m) | ((full ^ known) & m)
                         delay = 0.0
-                    else:  # _ICG_AND
+                    else:  # ICG_AND
                         _, en, ck, out = entry
                         if out == x_slot:
                             continue
@@ -831,70 +705,6 @@ class BatchKernel:
 
     # -- internals -----------------------------------------------------------
 
-    def _eval_word(self, op: str, in_ids: tuple[int, ...]) -> tuple[int, int]:
-        """Whole-word evaluation of one comb op (compile-time sweep only;
-        the event loop inlines these)."""
-        full = self._full
-        vals_v = self._vals_v
-        vals_x = self._vals_x
-        if op in ("AND", "NAND", "OR", "NOR"):
-            all1 = full
-            any1 = 0
-            all0 = full
-            any0 = 0
-            for i in in_ids:
-                v = vals_v[i]
-                k0 = full ^ (v | vals_x[i])
-                all1 &= v
-                any1 |= v
-                all0 &= k0
-                any0 |= k0
-            k1w, k0w = {
-                "AND": (all1, any0), "NAND": (any0, all1),
-                "OR": (any1, all0), "NOR": (all0, any1),
-            }[op]
-            return k1w, full ^ (k1w | k0w)
-        if op in ("XOR", "XNOR"):
-            nx = 0
-            acc = 0
-            for i in in_ids:
-                nx |= vals_x[i]
-                acc ^= vals_v[i]
-            if op == "XNOR":
-                acc ^= full
-            return acc & ~nx, nx
-        if op == "INV":
-            nx = vals_x[in_ids[0]]
-            return (full ^ vals_v[in_ids[0]]) & ~nx, nx
-        if op == "BUF":
-            return vals_v[in_ids[0]], vals_x[in_ids[0]]
-        if op == "TIE1":
-            return full, 0
-        if op == "TIE0":
-            return 0, 0
-        if op == "MUX2":
-            a, b, s = in_ids
-            sv, sx = vals_v[s], vals_x[s]
-            av, ax = vals_v[a], vals_x[a]
-            bv, bx = vals_v[b], vals_x[b]
-            s0 = full ^ (sv | sx)
-            agree = (full ^ (av ^ bv)) & ~ax & ~bx
-            known = (s0 & ~ax) | (sv & ~bx) | (sx & agree)
-            nv = ((s0 & av) | (sv & bv) | (sx & agree & av)) & known
-            return nv, full ^ known
-        # generic scalar fallback
-        func = EVAL[op]
-        nv = nx = 0
-        for lane in range(self.lanes):
-            vals = [X if (vals_x[i] >> lane) & 1
-                    else (vals_v[i] >> lane) & 1 for i in in_ids]
-            r = func(vals)
-            if r == X:
-                nx |= 1 << lane
-            elif r:
-                nv |= 1 << lane
-        return nv, nx
-
     def _push(self, time: float, net: int, vw: int, xw: int) -> None:
         pv = self._pend_v[net]
         px = self._pend_x[net]
@@ -911,16 +721,6 @@ class BatchKernel:
             bucket.append((net, vw, xw, mask))
 
     def _extend_clocks(self, t_end: float) -> None:
-        if self.clocks is None:
-            return
-        full = self._full
-        period = self.clocks.period
-        while self._clock_horizon <= t_end:
-            cycle = int(self._clock_horizon / period + 0.5)
-            base = cycle * period
-            for net, rise, fall, skip_first in self._phases:
-                if skip_first and cycle == 0:
-                    continue
-                self._push(base + rise, net, full, 0)
-                self._push(base + fall, net, 0, 0)
-            self._clock_horizon = base + period
+        if self._clock is not None:
+            for time, net, vw in self._clock.edges(t_end, self._full):
+                self._push(time, net, vw, 0)

@@ -1,20 +1,14 @@
 """Compiled integer-indexed event kernel for gate-level simulation.
 
-The public :class:`~repro.sim.simulator.Simulator` front-end lowers a
+The public :class:`~repro.sim.simulator.Simulator` front-end builds this
+kernel from the shared :class:`~repro.sim.lower.Lowering` of a
 :class:`~repro.netlist.core.Module` + :class:`~repro.convert.clocks.ClockSpec`
-into this kernel once, at construction:
-
-* every net and instance is interned to a dense integer id;
-* values, pending-schedule targets, and toggle counters live in flat lists
-  indexed by net id (plus one extra always-``X`` slot standing in for
-  unconnected pins);
-* the per-net subscriber lists are flattened into arrays of
-  ``(action_code, *payload)`` tuples whose payloads carry pre-resolved
-  input/output net ids, the transport delay, and (for one- and two-input
-  combinational cells) a dense three-valued truth table, so the event loop
-  performs zero dict lookups and zero attribute chasing per event;
-* integrated-clock-gating state (the internal enable latch) sits in a flat
-  list indexed by a per-ICG id.
+(net interning, subscriber lists, capture groups, clock schedule).  What
+this engine adds: scalar values, pending-schedule targets and toggle
+counters in flat lists indexed by net id; one- and two-input
+combinational cells lowered to dense three-valued truth tables; a byte
+dirty flag per capture-group member; and the event loop, which performs
+zero dict lookups and zero attribute chasing per event.
 
 The kernel is bit-for-bit equivalent to the string-keyed reference engine
 (:mod:`repro.sim.reference`): identical event ordering (the monotonically
@@ -24,9 +18,9 @@ value-change coalescing, identical toggle counts.  The differential tests in
 circuits across all three design styles.
 
 Conventions shared with the reference engine (see its module docstring for
-the rationale): transport delays come from the library's linear delay
-model; clock-distribution cells (buffers, ICGs) propagate with zero delay,
-modelling an ideal (balanced) clock network exactly as STA assumes.
+the rationale): transport delays come from
+:func:`~repro.sim.lower.cell_delay`, with an ideal (zero-delay) clock
+network exactly as STA assumes.
 """
 
 from __future__ import annotations
@@ -35,37 +29,40 @@ import heapq
 from time import perf_counter
 
 from repro import obs
-from repro.library.cell import CellKind, PinDirection
 from repro.netlist.core import Module
-from repro.netlist.traversal import is_clock_cell
 from repro.sim.logic import EVAL, X
+from repro.sim.lower import (
+    GATE,
+    ICG_CK,
+    ICG_EN,
+    ICG_PB,
+    LATCH_D,
+    MARK,
+    MUX2,
+    RISE,
+    Lowering,
+    SimulationError,
+    _unknown_net_message,
+    event_limit_error,
+    non_rising,
+)
 from repro.convert.clocks import ClockSpec
-from repro.timing.delay import output_load
 
-# Action codes compiled per (net, subscriber) pair, ordered so the event
-# loop's dispatch chain tests the hottest classes first.  All one- and
-# two-input combinational cells collapse into two table-lookup codes
-# (semantically identical to repro.sim.logic.EVAL -- the tables are built
-# from it -- minus the call, argument-list, and branching overhead); wider
-# cells of the standard families keep inlined short-circuiting loops; any
-# other op takes the generic eval-function fallback.
+# Combinational action codes of this engine (the shared codes of
+# repro.sim.lower are all >= 16).  All one- and two-input cells collapse
+# into two table-lookup codes (semantically identical to
+# repro.sim.logic.EVAL -- the tables are built from it -- minus the call,
+# argument-list, and branching overhead); wider cells of the standard
+# families keep inlined short-circuiting loops; any other op takes the
+# shared generic eval-function fallback.
 _LUT2 = 0  # 2-input comb: truth table indexed by values[a]*3 + values[b]
-_RISE = 1  # DFF CK edge and latch G edge: capture D on 0 -> 1
-_LUT1 = 2  # 1-input comb (INV/BUF): truth table indexed by values[a]
-_MARK = 3  # D-net change: flag the register dirty for its capture group
-_MUX2 = 4
-_NAND = 5
-_NOR = 6
-_AND = 7
-_OR = 8
-_XOR = 9
-_XNOR = 10
-_GATE = 11  # generic fallback: any comb op without a specialized form
-_LATCH_D = 12
-_ICG_CK = 13
-_ICG_EN = 14
-_ICG_PB = 15
-_ICG_AND = 16
+_LUT1 = 1  # 1-input comb (INV/BUF): truth table indexed by values[a]
+_NAND = 2
+_NOR = 3
+_AND = 4
+_OR = 5
+_XOR = 6
+_XNOR = 7
 
 #: comb op -> N-input (3+) loop code; 1- and 2-input cells of these
 #: families use the table codes instead.
@@ -84,38 +81,18 @@ _TABLE2 = {
     for op in _OP_CODES
 }
 
-#: sentinel for "pin not connected" ids (e.g. an ICG_M1 without PB).
-_NO_NET = -1
 
-
-class SimulationError(RuntimeError):
-    pass
-
-
-def _unknown_net_message(name: str, known) -> str:
-    """Diagnostic for an unknown net name, suggesting the nearest match
-    (same convention as the Simulator's ``set_input``/``port_value``)."""
-    import difflib
-
-    close = difflib.get_close_matches(name, known, n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    return f"cannot watch {name!r}: not a net of the module{hint}"
-
-
-def cell_delay(module: Module, inst, delay_model: str) -> float:
-    """Transport delay of ``inst`` under ``delay_model``.
-
-    Shared by every simulation engine so all compute the identical
-    floats; the load is STA's :func:`~repro.timing.delay.output_load`
-    without wire capacitance.
-    """
-    # Ideal clock distribution: see the module docstring.
-    if is_clock_cell(inst):
-        return 0.0
-    if delay_model == "unit":
-        return 1.0
-    load = output_load(module, inst)
-    return max(1.0, inst.cell.intrinsic_delay + inst.cell.delay_per_ff * load)
+def _comb_entry(op: str, in_ids: tuple[int, ...], out: int, delay: float):
+    """This engine's subscriber entry for a combinational cell, or None
+    for the shared generic fallback."""
+    if op in _TABLE1:
+        return (_LUT1, in_ids[0], out, delay, _TABLE1[op])
+    code = _OP_CODES.get(op)
+    if code is None:
+        return None
+    if len(in_ids) == 2:
+        return (_LUT2, in_ids[0], in_ids[1], out, delay, _TABLE2[op])
+    return (code, in_ids, out, delay)
 
 
 class CompiledKernel:
@@ -138,16 +115,21 @@ class CompiledKernel:
         self.now = 0.0
         self.run_seconds = 0.0
 
-        # -- net interning ---------------------------------------------------
-        names = list(module.nets)
-        nid = {name: i for i, name in enumerate(names)}
-        n_nets = len(names)
-        x_slot = n_nets  # extra slot standing in for unconnected pins
-        self._net_names = names
-        self._net_id = nid
-        self._x_slot = x_slot
-        self._values = [X] * (n_nets + 1)
-        self._toggles = [0] * (n_nets + 1)
+        low = Lowering(module, clocks, delay_model, _comb_entry,
+                       lambda n: bytearray(b"\x01" * n))
+        self._net_names = low.net_names
+        self._net_id = low.net_id
+        self._x_slot = low.x_slot
+        self._loads = low.loads
+        # Non-rising events can never fire a RISE capture, so the event
+        # loop scans a pre-filtered list instead of skipping entry by entry
+        # -- a falling clock edge no longer walks the whole register fanout.
+        self._loads_nonrise = non_rising(low.loads)
+        self._rise_group = low.rise_group
+        self._clock = low.clock
+        self._icg_state: list[int] = [X] * low.n_icg
+        self._values = [X] * (low.x_slot + 1)
+        self._toggles = [0] * (low.x_slot + 1)
         # Calendar queue: pending events live in per-time FIFO buckets; a
         # small heap of the distinct bucket times yields the next time.
         # Within one time, FIFO order IS schedule order, which reproduces
@@ -157,200 +139,18 @@ class CompiledKernel:
         self._times: list[float] = []
         self._watchers: list[tuple[set[int], list]] = []
 
-        def net(name: str) -> int:
-            return nid[name] if name else x_slot
-
-        # -- per-instance lowering (same iteration order as the reference
-        # engine, so push order lines up event for event) ---------------------
-        gate_of: dict[str, tuple] = {}  # inst -> (func, in_ids, out, delay)
-        seq_of: dict[str, tuple] = {}   # inst -> (data, clock, out, delay)
-        icg_of: dict[str, tuple] = {}   # inst -> (icg_idx, en, ck, pb, out)
-        self._icg_state: list[int] = []
-        for inst in module.instances.values():
-            out_pins = inst.cell.output_pins
-            out = net(inst.conns.get(out_pins[0], "")) if out_pins else x_slot
-            delay = cell_delay(module, inst, delay_model)
-            kind = inst.cell.kind
-            if kind is CellKind.COMB or kind is CellKind.TIE:
-                in_ids = tuple(
-                    net(inst.conns.get(p, "")) for p in inst.cell.input_pins
-                )
-                gate_of[inst.name] = (EVAL[inst.cell.op], in_ids, out, delay)
-            elif inst.is_sequential:
-                clock_pin = inst.cell.clock_pin
-                seq_of[inst.name] = (
-                    net(inst.conns.get("D", "")),
-                    net(inst.conns.get(clock_pin, "")),
-                    out,
-                    delay,
-                )
-            elif kind is CellKind.ICG:
-                icg_idx = -1
-                if inst.cell.op != "ICG_AND":
-                    icg_idx = len(self._icg_state)
-                    self._icg_state.append(X)
-                icg_of[inst.name] = (
-                    icg_idx,
-                    net(inst.conns.get("EN", "")),
-                    net(inst.conns.get("CK", "")),
-                    net(inst.conns.get("PB", "")) if "PB" in inst.conns
-                    else _NO_NET,
-                    out,
-                )
-
-        # -- flatten subscriber lists -----------------------------------------
-        # loads[net_id] is a list of (action_code, *pre-resolved payload);
-        # entries whose action could never push (no output net) are dropped
-        # for gates and registers, which cannot change behaviour.  Entry
-        # iteration order matches the reference engine's subscriber order,
-        # which keeps push sequence numbers — and therefore same-time event
-        # pop order — identical.
-        loads: list[list[tuple]] = [[] for _ in range(n_nets + 1)]
-        for inst in module.instances.values():
-            op = inst.cell.op
-            for pin_name, net_name in inst.conns.items():
-                if inst.cell.pin(pin_name).direction is not PinDirection.INPUT:
-                    continue
-                entry = None
-                if inst.name in gate_of:
-                    func, in_ids, out, delay = gate_of[inst.name]
-                    if out != x_slot:
-                        if op == "MUX2":
-                            a, b, s = in_ids
-                            entry = (_MUX2, a, b, s, out, delay)
-                        elif op in _TABLE1:
-                            entry = (_LUT1, in_ids[0], out, delay,
-                                     _TABLE1[op])
-                        elif op in _OP_CODES:
-                            if len(in_ids) == 2:
-                                entry = (_LUT2, in_ids[0], in_ids[1],
-                                         out, delay, _TABLE2[op])
-                            else:
-                                entry = (_OP_CODES[op], in_ids, out, delay)
-                        else:
-                            entry = (_GATE, func, in_ids, out, delay)
-                elif op == "DFF":
-                    if pin_name == "CK":
-                        data, _, out, delay = seq_of[inst.name]
-                        if out != x_slot:
-                            entry = (_RISE, data, out, delay)
-                elif op == "DLATCH":
-                    data, ck, out, delay = seq_of[inst.name]
-                    if out != x_slot:
-                        if pin_name == "G":
-                            entry = (_RISE, data, out, delay)
-                        else:
-                            entry = (_LATCH_D, ck, data, out, delay)
-                elif op == "ICG_AND":
-                    _, en, ck, _, out = icg_of[inst.name]
-                    entry = (_ICG_AND, en, ck, out)
-                elif op in ("ICG", "ICG_M1"):
-                    icg_idx, en, ck, pb, out = icg_of[inst.name]
-                    if pin_name == "CK":
-                        entry = (_ICG_CK, icg_idx, en, out)
-                    elif pin_name == "EN":
-                        # Transparency test of the internal enable latch,
-                        # pre-resolved to "values[trans_id] == trans_val":
-                        # M1 is transparent while its external inverted
-                        # clock PB is high; the conventional cell while CK
-                        # is low.  An M1 without PB is never transparent.
-                        if op == "ICG_M1":
-                            if pb != _NO_NET:
-                                trans_id, trans_val = pb, 1
-                            else:
-                                trans_id, trans_val = x_slot, -2
-                        else:
-                            trans_id, trans_val = ck, 0
-                        entry = (_ICG_EN, icg_idx, trans_id, trans_val,
-                                 ck, out)
-                    else:
-                        entry = (_ICG_PB, icg_idx, en, ck, out)
-                if entry is not None:
-                    loads[net(net_name)].append(entry)
-        self._loads = loads
-
-        # -- capture groups: activity-driven register scanning ---------------
-        # A net whose every subscriber is a register capture (the typical
-        # dedicated clock/phase net) becomes a *capture group*: its rising
-        # edge scans only registers whose D input changed since their last
-        # capture, instead of walking the whole fanout.  Each member
-        # register gets a _MARK subscriber on its D net that sets a dirty
-        # flag; the rising edge drains the dirty list in subscriber-position
-        # order, so the set and order of pushes is identical to a full scan
-        # (an unchanged D can never repush: pending[q] already equals it).
-        groups: dict[int, tuple[list[tuple], bytearray, list[int]]] = {}
-        for i, lst in enumerate(loads):
-            if lst and all(e[0] == _RISE for e in lst):
-                cap = [(e[1], e[2], e[3]) for e in lst]
-                groups[i] = (cap, bytearray(b"\x01" * len(cap)),
-                             list(range(len(cap))))
-        marks = [
-            (data, gnet, pos)
-            for gnet, (cap, _, _) in groups.items()
-            for pos, (data, _out, _delay) in enumerate(cap)
-            if data != x_slot
-        ]
-        # A mark landing on a capture-group net would never be scanned on
-        # that net's rising edges (the tight path skips the entry list), so
-        # demote such nets back to generic scanning.
-        for demoted in {data for data, _, _ in marks if data in groups}:
-            del groups[demoted]
-        for data, gnet, pos in marks:
-            if gnet in groups:
-                _cap, flags, dirty = groups[gnet]
-                loads[data].append((_MARK, flags, dirty, pos))
-        self._rise_group: list[tuple | None] = [
-            groups.get(i) for i in range(n_nets + 1)
-        ]
-
-        # Non-rising events can never fire a _RISE capture, so the event
-        # loop scans a pre-filtered list instead of skipping entry by entry
-        # -- a falling clock edge no longer walks the whole register fanout.
-        # Relative order of the surviving entries is unchanged, so push
-        # sequence numbers are identical either way.  Nets with no _RISE
-        # subscriber share the full list object.  (Built after the _MARK
-        # entries so D-net marks fire on falling edges too.)
-        self._loads_nonrise = [
-            lst if all(e[0] != _RISE for e in lst)
-            else [e for e in lst if e[0] != _RISE]
-            for lst in loads
-        ]
-
-        # -- clock schedule --------------------------------------------------
-        self._clock_horizon = 0.0
-        self._phases: list[tuple[int, float, float, bool]] = []
-        if clocks is not None:
-            for phase in clocks.phases:
-                if phase.name in nid:
-                    self._phases.append(
-                        (nid[phase.name], phase.rise, phase.fall,
-                         phase.skip_first)
-                    )
-                    self._values[nid[phase.name]] = (
-                        1 if clocks.is_high(phase.name, 0.0) else 0
-                    )
-
-        # -- sequential/tie initialization at t = 0 ---------------------------
-        for inst in module.instances.values():
-            if inst.is_sequential:
-                init = inst.attrs.get("init")
-                if init is not None and seq_of[inst.name][2] != x_slot:
-                    self._values[seq_of[inst.name][2]] = int(init)
-            elif inst.cell.kind is CellKind.TIE:
-                out = gate_of[inst.name][2]
-                if out != x_slot:
-                    self._values[out] = 1 if inst.cell.op == "TIE1" else 0
+        values = self._values
+        for net, value in low.initial:
+            values[net] = value
         # pending[n] is the last value scheduled for net n, or the current
         # value if nothing is in flight -- exactly the reference engine's
         # "last-scheduled-or-current" coalescing test, collapsed into one
         # array read.  (After an event pops, values[n] == pending[n], so the
         # invariant self-maintains without any reset on pop.)
-        self._pending = list(self._values)
+        self._pending = list(values)
         # Evaluate all combinational cells once so constants propagate.
-        values = self._values
-        for func, in_ids, out, _delay in gate_of.values():
-            if out != x_slot:
-                self._push(0.0, out, func([values[i] for i in in_ids]))
+        for op, in_ids, out in low.sweep:
+            self._push(0.0, out, EVAL[op]([values[i] for i in in_ids]))
         self.compile_seconds = perf_counter() - t_compile
         obs.add("sim.compiles")
 
@@ -422,12 +222,7 @@ class CompiledKernel:
                     self.events_processed = events
                     self.now = time
                     self.run_seconds += perf_counter() - t_run
-                    raise SimulationError(
-                        f"event limit {limit} exceeded at t={time}; "
-                        "the design is likely oscillating (e.g. racing "
-                        "through simultaneously transparent latches -- run "
-                        "hold fixing)"
-                    )
+                    raise event_limit_error(limit, time)
                 old = values[net]
                 if old == value:
                     continue
@@ -470,20 +265,20 @@ class CompiledKernel:
                     if code == _LUT2:
                         _, a, b, out, delay, lut = entry
                         new = lut[values[a] * 3 + values[b]]
-                    elif code == _RISE:
+                    elif code == RISE:
                         # only reachable via the full list, i.e. on rising edges
                         _, data, out, delay = entry
                         new = values[data]
                     elif code == _LUT1:
                         _, a, out, delay, lut = entry
                         new = lut[values[a]]
-                    elif code == _MARK:
+                    elif code == MARK:
                         _, flags, dirty, pos = entry
                         if not flags[pos]:
                             flags[pos] = 1
                             dirty.append(pos)
                         continue
-                    elif code == _MUX2:
+                    elif code == MUX2:
                         _, a, b, s, out, delay = entry
                         sv = values[s]
                         if sv == 0:
@@ -493,7 +288,7 @@ class CompiledKernel:
                         else:
                             av = values[a]
                             new = av if av == values[b] and av != 2 else 2
-                    elif code < _GATE:  # N-input (3+) short-circuiting loops
+                    elif code < GATE:  # N-input (3+) short-circuiting loops
                         if code == _NAND:
                             _, in_ids, out, delay = entry
                             new = 1
@@ -555,15 +350,15 @@ class CompiledKernel:
                                     break
                                 new ^= v
                             new = 2 if new == 2 else 1 - new
-                    elif code == _GATE:
+                    elif code == GATE:
                         _, func, in_ids, out, delay = entry
                         new = func([values[i] for i in in_ids])
-                    elif code == _LATCH_D:
+                    elif code == LATCH_D:
                         _, ck, data, out, delay = entry
                         if values[ck] != 1:
                             continue
                         new = values[data]
-                    elif code == _ICG_CK:
+                    elif code == ICG_CK:
                         _, icg_idx, en, out = entry
                         if value == 0:
                             icg_state[icg_idx] = values[en]
@@ -577,7 +372,7 @@ class CompiledKernel:
                         else:
                             new = 1 if enable == 1 else 0
                         delay = 0.0
-                    elif code == _ICG_EN:
+                    elif code == ICG_EN:
                         _, icg_idx, trans_id, trans_val, ck, out = entry
                         if values[trans_id] != trans_val:
                             continue
@@ -592,7 +387,7 @@ class CompiledKernel:
                         else:
                             new = 1 if value == 1 else 0
                         delay = 0.0
-                    elif code == _ICG_PB:
+                    elif code == ICG_PB:
                         if value != 1:
                             continue
                         _, icg_idx, en, ck, out = entry
@@ -608,7 +403,7 @@ class CompiledKernel:
                         else:
                             new = 1 if enable == 1 else 0
                         delay = 0.0
-                    else:  # _ICG_AND
+                    else:  # ICG_AND
                         _, en, ck, out = entry
                         if out == x_slot:
                             continue
@@ -654,15 +449,6 @@ class CompiledKernel:
             bucket.append((net, value))
 
     def _extend_clocks(self, t_end: float) -> None:
-        if self.clocks is None:
-            return
-        period = self.clocks.period
-        while self._clock_horizon <= t_end:
-            cycle = int(self._clock_horizon / period + 0.5)
-            base = cycle * period
-            for net, rise, fall, skip_first in self._phases:
-                if skip_first and cycle == 0:
-                    continue
-                self._push(base + rise, net, 1)
-                self._push(base + fall, net, 0)
-            self._clock_horizon = base + period
+        if self._clock is not None:
+            for time, net, value in self._clock.edges(t_end, 1):
+                self._push(time, net, value)

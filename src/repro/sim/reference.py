@@ -26,7 +26,7 @@ from time import perf_counter
 
 from repro.library.cell import CellKind, PinDirection
 from repro.netlist.core import Module
-from repro.sim.kernel import SimulationError, cell_delay
+from repro.sim.lower import SimulationError, cell_delay
 from repro.sim.logic import EVAL, X
 from repro.convert.clocks import ClockSpec
 
@@ -166,7 +166,7 @@ class ReferenceEngine:
 
     def watch(self, nets: list[str]) -> list[tuple[float, str, int]]:
         """Record ``(time, net, value)`` changes on ``nets``; returns the sink."""
-        from repro.sim.kernel import _unknown_net_message
+        from repro.sim.lower import _unknown_net_message
 
         for n in nets:
             if n not in self.module.nets:

@@ -17,13 +17,13 @@ Capabilities the reproduction needs (and real sign-off flows provide):
 Performance notes (pure Python must carry 100k-cell designs):
 
 * at construction the netlist is **compiled** into the dense
-  integer-indexed kernel of :mod:`repro.sim.kernel`: nets and instances
-  are interned to int ids, values/toggles/delays/latch state live in flat
-  lists, and the per-net subscriber lists carry pre-resolved eval
-  functions and net ids, so the event loop does zero dict lookups per
-  event (``engine="reference"`` selects the original string-keyed engine
-  of :mod:`repro.sim.reference`, kept as differential oracle and
-  throughput baseline);
+  integer-indexed kernel of :mod:`repro.sim.kernel` (or, with
+  ``engine="batch"``, the word-packed engine of :mod:`repro.sim.batch`);
+  both build from the one lowering of :mod:`repro.sim.lower`, whose
+  per-net subscriber lists carry pre-resolved net ids and delays, so the
+  event loop does zero dict lookups per event (``engine="reference"``
+  selects the original string-keyed engine of :mod:`repro.sim.reference`,
+  kept as differential oracle and throughput baseline);
 * pushes that would re-schedule a net to the value it is already headed to
   are skipped -- a register recapturing an unchanged value costs nothing;
 * clock distribution cells (buffers, ICGs) propagate with zero delay,
@@ -41,7 +41,8 @@ from __future__ import annotations
 from repro import obs
 from repro.netlist.core import Module, PortRef
 from repro.sim.batch import BatchKernel
-from repro.sim.kernel import CompiledKernel, SimulationError
+from repro.sim.kernel import CompiledKernel
+from repro.sim.lower import SimulationError
 from repro.sim.reference import ReferenceEngine
 from repro.convert.clocks import ClockSpec
 

@@ -5,10 +5,11 @@ styles; see the derivation in DESIGN.md section 3 and
 :mod:`repro.convert.clocks`):
 
 * vector 0 is applied at t = 0;
-* vector n (n >= 1) is applied at ``n*T + 0.3*T`` -- after the 3-phase p1
-  latches close (T/4) and well before the master-slave master closes
-  ((n+1)*T), which makes primary inputs behave "as if clocked by p1"
-  exactly as the paper assumes;
+* vector n (n >= 1) is applied at ``n*T + 0.27*T``
+  (:data:`INPUT_TIME_FRACTION`) -- after the 3-phase p1 latches close
+  (T/4) and well before the master-slave master closes ((n+1)*T), which
+  makes primary inputs behave "as if clocked by p1" exactly as the paper
+  assumes;
 * outputs are sampled just before each cycle boundary, where every style
   holds the same architectural state.
 """
@@ -59,29 +60,11 @@ def run_testbench(
     ``engine`` selects the simulation engine (see :class:`Simulator`).
     """
     sim = Simulator(module, clocks, delay_model=delay_model, engine=engine)
-    period = clocks.period
-    outputs = module.output_ports()
     result = TestbenchResult(module=module, simulator=sim)
-
-    with obs.span("sim.run", design=module.name, engine=engine,
-                  cycles=len(vectors), delay_model=delay_model) as sp:
-        for index, vector in enumerate(vectors):
-            time = (0.0 if index == 0
-                    else index * period + INPUT_TIME_FRACTION * period)
-            for port, value in vector.items():
-                sim.set_input(port, value, time)
-
-        for cycle in range(len(vectors)):
-            sample_time = (cycle + 1) * period - SAMPLE_GUARD_FRACTION * period
-            sim.run_until(sample_time)
-            result.samples.append(
-                {port: sim.port_value(port) for port in outputs})
-            if activity_warmup and cycle + 1 == activity_warmup:
-                sim.reset_activity()
-            sim.run_until((cycle + 1) * period)
-        sp.set(events=sim.events_processed,
-               events_per_s=round(sim.events_per_second, 1))
-    obs.gauge("sim.events_per_s", sim.events_per_second)
+    _run_schedule(sim, vectors, sim.set_input, sim.port_value,
+                  result.samples, activity_warmup,
+                  design=module.name, engine=engine, cycles=len(vectors),
+                  delay_model=delay_model)
     return result
 
 
@@ -124,29 +107,42 @@ def run_batch_testbench(
     """
     sim = Simulator(module, clocks, delay_model=delay_model,
                     engine="batch", lanes=stimulus.lanes)
-    period = clocks.period
-    outputs = module.output_ports()
     result = BatchTestbenchResult(
         module=module, lanes=stimulus.lanes, simulator=sim)
+    _run_schedule(sim, stimulus.words, sim.set_input_word, sim.port_values,
+                  result.samples, activity_warmup,
+                  design=module.name, engine="batch", lanes=stimulus.lanes,
+                  cycles=len(stimulus.words), delay_model=delay_model)
+    return result
 
-    with obs.span("sim.run", design=module.name, engine="batch",
-                  lanes=stimulus.lanes, cycles=len(stimulus.words),
-                  delay_model=delay_model) as sp:
-        for index, packed in enumerate(stimulus.words):
+
+def _run_schedule(sim: Simulator, inputs: list[dict], apply, sample,
+                  samples: list, activity_warmup: int, **span_attrs) -> None:
+    """Drive ``sim`` with one ``{port: value}`` dict per cycle through
+    ``apply(port, value, time)`` and append one ``{port: sample(port)}``
+    dict per cycle to ``samples``.
+
+    The schedule of every testbench: inputs at the times of the module
+    docstring, outputs sampled :data:`SAMPLE_GUARD_FRACTION` of a period
+    before each boundary, and toggle counters reset after
+    ``activity_warmup`` cycles.
+    """
+    period = sim.clocks.period
+    outputs = sim.module.output_ports()
+    with obs.span("sim.run", **span_attrs) as sp:
+        for index, vector in enumerate(inputs):
             time = (0.0 if index == 0
                     else index * period + INPUT_TIME_FRACTION * period)
-            for port, word in packed.items():
-                sim.set_input_word(port, word, time)
+            for port, value in vector.items():
+                apply(port, value, time)
 
-        for cycle in range(len(stimulus.words)):
+        for cycle in range(len(inputs)):
             sample_time = (cycle + 1) * period - SAMPLE_GUARD_FRACTION * period
             sim.run_until(sample_time)
-            result.samples.append(
-                {port: sim.port_values(port) for port in outputs})
+            samples.append({port: sample(port) for port in outputs})
             if activity_warmup and cycle + 1 == activity_warmup:
                 sim.reset_activity()
             sim.run_until((cycle + 1) * period)
         sp.set(events=sim.events_processed,
                events_per_s=round(sim.events_per_second, 1))
     obs.gauge("sim.events_per_s", sim.events_per_second)
-    return result

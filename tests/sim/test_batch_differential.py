@@ -28,6 +28,7 @@ from repro.sim import (
 from repro.sim.batch import MAX_LANES
 from repro.sim.stimulus import PROFILES
 from repro.synth.clock_gating import infer_clock_gating
+from tests.sim.corpus import CORPUS
 
 PERIOD = 1000.0
 
@@ -96,6 +97,13 @@ class TestLaneSweep:
                    for i in module.instances.values())
         assert_lanes_match_solo(module, ClockSpec.single(PERIOD), 7, 16,
                                 delay_model="cell")
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus(self, name):
+        """des3's 3-phase netlist (ICG_M1, ICG, ICG_AND) and the lowering
+        corner cases of tests/sim/corpus.py."""
+        module, clocks = CORPUS[name]()
+        assert_lanes_match_solo(module, clocks, 4, 16, delay_model="cell")
 
 
 class TestResetActivityMidBatch:
@@ -257,6 +265,16 @@ class TestBatchFrontEnd:
         with pytest.raises(ValueError, match="lanes"):
             Simulator(s27, ClockSpec.single(PERIOD), engine="batch",
                       lanes=MAX_LANES + 1)
+
+    @pytest.mark.parametrize("lane", [3, 7, -1])
+    def test_lane_index_out_of_range(self, s27, lane):
+        sim = Simulator(s27, ClockSpec.single(PERIOD), engine="batch",
+                        lanes=3)
+        sim.run_until(2 * PERIOD)
+        with pytest.raises(SimulationError, match=r"0\.\.2"):
+            sim.lane_toggles(lane)
+        with pytest.raises(SimulationError, match=r"0\.\.2"):
+            sim.lane_events(lane)
 
     def test_toggles_dict_is_lane_average(self, s27):
         module = s27

@@ -19,6 +19,7 @@ from repro.convert import (
 )
 from repro.library.generic import GENERIC
 from repro.sim import SimulationError, Simulator, generate_vectors, run_testbench
+from tests.sim.corpus import CORPUS
 
 PERIOD = 1000.0
 
@@ -94,6 +95,19 @@ class TestBenchmarkCircuit:
 
         p3 = convert_to_three_phase(build("s1488"), GENERIC, period=PERIOD)
         assert_bit_for_bit(p3.module, p3.clocks, vectors)
+
+
+class TestCorpus:
+    """Fixed netlists with cells the random circuits never contain: ICG_M1,
+    ICG and ICG_AND (des3's 3-phase netlist), TIE cells, register init
+    values, an unconnected gate output and a demoted capture group."""
+
+    @pytest.mark.parametrize("delay_model", ["unit", "cell"])
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus(self, name, delay_model):
+        module, clocks = CORPUS[name]()
+        vectors = generate_vectors(module, 16, seed=3)
+        assert_bit_for_bit(module, clocks, vectors, delay_model=delay_model)
 
 
 class TestPortErrors:
