@@ -16,6 +16,8 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from dataclasses import replace
 
@@ -58,17 +60,47 @@ def _cycles(text: str) -> int:
     return value
 
 
-class _UnknownDesign(Exception):
-    """An unregistered design name.  Deliberately not an argparse error:
-    it passes through ``parse_args`` so :func:`main` reports it in one
-    line and returns 2 rather than exiting."""
+class _UsageError(Exception):
+    """A bad argument value (an unregistered design, an export path
+    that cannot be written ...).  Deliberately not an argparse error: it passes
+    through ``parse_args`` so :func:`main` reports it in one line and
+    returns 2 before any work starts."""
 
 
 def _design(text: str) -> str:
     if text not in names():
-        raise _UnknownDesign(
+        raise _UsageError(
             f"unknown benchmark {text!r}; available: {', '.join(names())}")
     return text
+
+
+def _output_file(flag: str):
+    """An argument type for a file the run writes at its end: its
+    directory must exist, so a typo fails now, not after the flow."""
+    def check(text: str) -> str:
+        folder = os.path.dirname(text) or "."
+        if not os.path.isdir(folder):
+            raise _UsageError(
+                f"argument {flag}: no such directory: {folder}")
+        if not os.access(folder, os.W_OK):
+            raise _UsageError(
+                f"argument {flag}: directory not writable: {folder}")
+        if os.path.isdir(text):
+            raise _UsageError(f"argument {flag}: {text} is a directory")
+        return text
+    return check
+
+
+def _interval(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise _UsageError(
+            "argument --monitor-interval: must be a positive number of "
+            f"seconds, got {text!r}")
+    return value
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
@@ -88,19 +120,21 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
 
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", metavar="FILE", default=None,
+                        type=_output_file("--trace"),
                         help="write a Chrome trace_event file "
                              "(load in Perfetto / chrome://tracing)")
     parser.add_argument("--obs-jsonl", metavar="FILE", default=None,
+                        type=_output_file("--obs-jsonl"),
                         help="write spans and metrics as JSON lines")
     parser.add_argument("--metrics-out", metavar="FILE", default=None,
-                        dest="metrics_out",
+                        dest="metrics_out", type=_output_file("--metrics-out"),
                         help="write the run's metrics as Prometheus text "
                              "exposition (same families the serve daemon's "
                              "/metricsz exposes)")
     parser.add_argument("--monitor", action="store_true",
                         help="sample RSS/CPU/GC in the background and "
                              "attribute peaks to pipeline stages")
-    parser.add_argument("--monitor-interval", type=float, default=None,
+    parser.add_argument("--monitor-interval", type=_interval, default=None,
                         metavar="S", dest="monitor_interval",
                         help="resource sampling interval in seconds "
                              "(implies --monitor; default 0.05)")
@@ -141,8 +175,8 @@ def _with_observability(args: argparse.Namespace, body) -> int:
             write_jsonl(tracer, jsonl_path)
             _progress(f"wrote JSONL trace: {jsonl_path}")
         if metrics_path:
-            from repro.obs.promexpo import registry_from_tracer, write_metrics
-            write_metrics(registry_from_tracer(tracer), metrics_path)
+            from repro.obs.promexpo import write_metrics
+            write_metrics(tracer, metrics_path)
             _progress(f"wrote metrics exposition: {metrics_path}")
     return status
 
@@ -811,7 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UnknownDesign as exc:
+    except _UsageError as exc:
         _progress(f"error: {exc}")
         return 2
     return args.func(args)

@@ -17,8 +17,9 @@ and the parent folds it in (:func:`merge_tracer_state`):
 * **identity** -- the worker's ``pid``/``tid`` are preserved, so the
   Chrome exporter renders each worker process as its own Perfetto
   process track;
-* **metrics** -- counters/histograms accumulate, gauge series
-  concatenate (timestamps rebased);
+* **metrics** -- the worker store's :meth:`~repro.obs.metrics.MetricStore.raw`
+  state folds into the parent's: counters and histograms accumulate,
+  gauge series concatenate (timestamps rebased);
 * **resource samples** -- a worker's memory/CPU timeline merges with
   timestamps rebased and span attributions remapped through the same
   id map as the spans, so a stage's memory track survives the process
@@ -34,7 +35,7 @@ from repro.obs.tracer import SpanRecord, Tracer
 
 #: version tag for the shipped dict, so a mismatched worker is detected
 #: rather than silently mis-merged.
-STATE_FORMAT = "repro-obs-state-v1"
+STATE_FORMAT = "repro-obs-state-v2"
 
 
 def tracer_state(tracer: Tracer) -> dict:

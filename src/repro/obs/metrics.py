@@ -1,150 +1,33 @@
-"""Counters, gauges, and histograms for the observability layer.
+"""Counters, gauges and histograms: the one metric store.
 
-Three metric kinds, matching what the flow needs to report:
+The span tracer (``Tracer.metrics``, fed by ``obs.add``/``obs.gauge``/
+``obs.record``) and the serve daemon (``JobManager.metrics``, behind
+``GET /metricsz``) each own a :class:`MetricStore`.  A store holds
+named families of three kinds, every one with optional label
+dimensions (one series per distinct label set):
 
-* **counters** -- monotonically accumulated totals (``sim.events``,
-  ``cache.hits``, ``retime.moves``); export shows the final value and
-  the number of increments;
-* **gauges** -- sampled values with timestamps (``sim.events_per_s``,
-  ``ilp.variables``); the full time series is kept so the Chrome
-  exporter can render ``C`` (counter-track) events;
-* **histograms** -- raw value distributions (``cache.lock_wait_s``,
-  ``retime.round_moves``) summarized as count/min/max/mean/p50/p95.
+* **counter** -- monotonically accumulated totals (``sim.events``,
+  ``jobs{outcome}``);
+* **gauge** -- either set, keeping every timestamped sample (the Chrome
+  exporter draws the series as a counter track), or backed by a
+  callback read at scrape time (``process_rss_bytes``);
+* **histogram** -- cumulative buckets, exact count/sum/min/max, and a
+  bounded window of the most recent :data:`DEFAULT_WINDOW` values from
+  which :meth:`Histogram.summary` takes nearest-rank p50/p95.
 
-All operations are thread-safe and O(1) (histograms append; summaries
-are computed at export time).
-
-On top of :class:`MetricSet` (a per-tracer store drained at export
-time) this module provides the *live* instrument family behind the
-serve daemon's ``GET /metricsz``: :class:`LabeledCounter`,
-:class:`Gauge`, :class:`Histogram` (fixed Prometheus buckets plus a
-bounded rolling window of recent raw values), and the
-:class:`Registry` that owns them.  The text rendering itself lives in
-:mod:`repro.obs.promexpo`.
+:mod:`repro.obs.promexpo` renders any store as Prometheus text; the
+JSONL and Chrome exporters read its unlabeled series through
+:meth:`MetricStore.snapshot`.  :meth:`MetricStore.raw` and
+:meth:`MetricStore.merge_raw` ship a store's state across a process
+boundary and fold it into another.  All operations are thread-safe.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
 from time import perf_counter
-
-
-@dataclass
-class MetricSet:
-    """Thread-safe store for the three metric families."""
-
-    epoch: float = 0.0
-    counters: dict[str, float] = field(default_factory=dict)
-    counter_ops: dict[str, int] = field(default_factory=dict)
-    #: gauge name -> [(seconds-since-epoch, value), ...]
-    gauges: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
-    #: histogram name -> raw observed values
-    histograms: dict[str, list[float]] = field(default_factory=dict)
-    _lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def add(self, name: str, value: float = 1.0) -> None:
-        """Increment counter ``name`` by ``value``."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0.0) + value
-            self.counter_ops[name] = self.counter_ops.get(name, 0) + 1
-
-    def gauge(self, name: str, value: float) -> None:
-        """Record a timestamped sample of gauge ``name``."""
-        ts = perf_counter() - self.epoch
-        with self._lock:
-            self.gauges.setdefault(name, []).append((ts, value))
-
-    def record(self, name: str, value: float) -> None:
-        """Observe ``value`` into histogram ``name``."""
-        with self._lock:
-            self.histograms.setdefault(name, []).append(value)
-
-    # -- introspection -------------------------------------------------------
-
-    @property
-    def op_count(self) -> int:
-        with self._lock:
-            return (
-                sum(self.counter_ops.values())
-                + sum(len(s) for s in self.gauges.values())
-                + sum(len(v) for v in self.histograms.values())
-            )
-
-    def histogram_summary(self, name: str) -> dict[str, float]:
-        """count/min/max/mean/p50/p95 of histogram ``name``.
-
-        Percentiles use the **nearest-rank** method on the sorted
-        values: ``p50``/``p95`` are ``values[min(n - 1, int(p * n))]``
-        -- an actually-observed value, never an interpolation, biased
-        at most one rank low.  An empty (or unknown) histogram returns
-        a fully zeroed summary -- every key present, all values 0 --
-        so callers can index ``summary["p95"]`` without guarding on
-        ``count`` first.
-        """
-        with self._lock:
-            values = sorted(self.histograms.get(name, ()))
-        if not values:
-            return {"count": 0, "min": 0.0, "max": 0.0, "mean": 0.0,
-                    "p50": 0.0, "p95": 0.0}
-        n = len(values)
-
-        def pct(p: float) -> float:
-            return values[min(n - 1, int(p * n))]
-
-        return {
-            "count": n,
-            "min": values[0],
-            "max": values[-1],
-            "mean": sum(values) / n,
-            "p50": pct(0.50),
-            "p95": pct(0.95),
-        }
-
-    def raw(self) -> dict[str, dict]:
-        """Full raw state (histogram values, not summaries) -- the
-        picklable form shipped from worker processes for merging."""
-        with self._lock:
-            return {
-                "counters": dict(self.counters),
-                "counter_ops": dict(self.counter_ops),
-                "gauges": {k: list(v) for k, v in self.gauges.items()},
-                "histograms": {k: list(v) for k, v in self.histograms.items()},
-            }
-
-    def merge_raw(self, raw: dict[str, dict], ts_shift: float = 0.0) -> None:
-        """Fold another MetricSet's :meth:`raw` state into this one.
-
-        ``ts_shift`` (seconds) rebases the gauge timestamps from the
-        source tracer's epoch onto this one's.
-        """
-        with self._lock:
-            for name, value in raw.get("counters", {}).items():
-                self.counters[name] = self.counters.get(name, 0.0) + value
-            for name, ops in raw.get("counter_ops", {}).items():
-                self.counter_ops[name] = self.counter_ops.get(name, 0) + ops
-            for name, series in raw.get("gauges", {}).items():
-                self.gauges.setdefault(name, []).extend(
-                    (ts + ts_shift, value) for ts, value in series)
-            for name, values in raw.get("histograms", {}).items():
-                self.histograms.setdefault(name, []).extend(values)
-
-    def snapshot(self) -> dict[str, dict]:
-        """Point-in-time copy of everything, for the exporters."""
-        with self._lock:
-            counters = dict(self.counters)
-            gauges = {k: list(v) for k, v in self.gauges.items()}
-            hist_names = list(self.histograms)
-        return {
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": {n: self.histogram_summary(n) for n in hist_names},
-        }
-
-
-# ---------------------------------------------------------------------------
-# live instruments (the /metricsz registry)
 
 #: Prometheus-style duration buckets (seconds): 5 ms .. 60 s covers
 #: everything from a cached stage restore to a cold full-suite flow.
@@ -154,222 +37,228 @@ DURATION_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
 #: byte buckets for the peak-RSS histograms: 16 MB .. 8 GB, powers of 2.
 BYTE_BUCKETS = tuple(float(16 * (1 << 20) * (1 << i)) for i in range(10))
 
-#: how many recent observations a rolling window keeps by default.
+#: how many recent observations a histogram keeps for its percentiles.
 DEFAULT_WINDOW = 512
 
 LabelKey = tuple[tuple[str, str], ...]
 
 
-def _label_key(labels: dict[str, str]) -> LabelKey:
+def _label_key(labels: dict) -> LabelKey:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class LabeledCounter:
-    """Monotonic counter with optional label dimensions.
+class Histogram:
+    """One label set's histogram: per-bucket counts (cumulated when
+    rendered), exact count/sum/min/max, and the recent-value window."""
 
-    ``inc(value, **labels)`` accumulates one series per distinct label
-    set; a label-free counter is the single series with an empty key.
-    """
+    __slots__ = ("buckets", "counts", "count", "sum", "min", "max",
+                 "window")
 
-    __slots__ = ("_values", "_lock")
-
-    def __init__(self) -> None:
-        self._values: dict[LabelKey, float] = {}
-        self._lock = threading.Lock()
-
-    def inc(self, value: float = 1.0, **labels: object) -> None:
-        key = _label_key({k: str(v) for k, v in labels.items()})
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + value
-
-    def series(self) -> list[tuple[LabelKey, float]]:
-        with self._lock:
-            return sorted(self._values.items())
-
-    def total(self) -> float:
-        with self._lock:
-            return sum(self._values.values())
-
-
-class Gauge:
-    """Point-in-time value: either ``set()`` explicitly or backed by a
-    zero-argument callback sampled at scrape time."""
-
-    __slots__ = ("_value", "_fn", "_lock")
-
-    def __init__(self, fn=None) -> None:
-        self._value = 0.0
-        self._fn = fn
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def value(self) -> float:
-        if self._fn is not None:
-            try:
-                return float(self._fn())
-            except Exception:
-                return 0.0
-        with self._lock:
-            return self._value
-
-
-class RollingHistogram:
-    """One label set's histogram: cumulative Prometheus buckets over the
-    full lifetime plus a bounded window of recent raw observations.
-
-    The bucket counts/sum/count are never reset (Prometheus requires
-    monotone cumulative series); the rolling window backs local quantile
-    summaries (:meth:`window_summary`, nearest-rank like
-    :meth:`MetricSet.histogram_summary`) without unbounded growth.
-    """
-
-    __slots__ = ("buckets", "_bucket_counts", "_count", "_sum",
-                 "_window", "_lock")
-
-    def __init__(self, buckets: tuple[float, ...] = DURATION_BUCKETS,
-                 window: int = DEFAULT_WINDOW) -> None:
-        self.buckets = tuple(sorted(buckets))
-        self._bucket_counts = [0] * len(self.buckets)
-        self._count = 0
-        self._sum = 0.0
-        self._window: deque[float] = deque(maxlen=max(1, window))
-        self._lock = threading.Lock()
+    def __init__(self, buckets: tuple[float, ...]) -> None:
+        self.buckets = buckets
+        #: observations per bucket; values above the last bound land
+        #: only in ``count`` (the implicit +Inf bucket).
+        self.counts = [0] * len(buckets)
+        self.count = 0
+        self.sum = 0.0
+        self.min = float("inf")
+        self.max = float("-inf")
+        self.window: deque[float] = deque(maxlen=DEFAULT_WINDOW)
 
     def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._bucket_counts[index] += 1
-            self._window.append(value)
+        index = bisect_left(self.buckets, value)
+        if index < len(self.counts):
+            self.counts[index] += 1
+        self.count += 1
+        self.sum += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
+        self.window.append(value)
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
+    def merge(self, other: "Histogram") -> "Histogram":
+        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.count += other.count
+        self.sum += other.sum
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.window.extend(other.window)
+        return self
 
-    @property
-    def total(self) -> float:
-        with self._lock:
-            return self._sum
+    def summary(self) -> dict[str, float]:
+        """count/min/max/mean (exact) and p50/p95 (over the window).
 
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """Cumulative ``(le bound, count)`` pairs; +Inf is implicit
-        (it equals :attr:`count`)."""
-        with self._lock:
-            return list(zip(self.buckets, self._bucket_counts))
-
-    def window_summary(self) -> dict[str, float]:
-        """Nearest-rank summary of the recent-observation window (the
-        same shape :meth:`MetricSet.histogram_summary` returns)."""
-        with self._lock:
-            values = sorted(self._window)
-        if not values:
+        Percentiles use the **nearest-rank** method on the sorted
+        window: ``values[min(n - 1, int(p * n))]`` -- an observed value,
+        never an interpolation, biased at most one rank low.  An empty
+        histogram returns every key with value 0, so callers can index
+        ``summary["p95"]`` without checking ``count`` first.
+        """
+        if not self.count:
             return {"count": 0, "min": 0.0, "max": 0.0, "mean": 0.0,
                     "p50": 0.0, "p95": 0.0}
+        values = sorted(self.window)
         n = len(values)
+        return {
+            "count": self.count,
+            "min": self.min,
+            "max": self.max,
+            "mean": self.sum / self.count,
+            "p50": values[min(n - 1, int(0.50 * n))],
+            "p95": values[min(n - 1, int(0.95 * n))],
+        }
 
-        def pct(p: float) -> float:
-            return values[min(n - 1, int(p * n))]
 
-        return {"count": n, "min": values[0], "max": values[-1],
-                "mean": sum(values) / n, "p50": pct(0.50), "p95": pct(0.95)}
+def _copy(data):
+    if isinstance(data, Histogram):
+        return Histogram(data.buckets).merge(data)
+    return list(data) if isinstance(data, list) else data
 
 
-class Histogram:
-    """A labeled family of :class:`RollingHistogram` children.
+class _Family:
+    __slots__ = ("kind", "help", "buckets", "series")
 
-    ``observe(value, **labels)`` routes to (creating on first use) the
-    child for that label set; a label-free histogram has one child
-    under the empty key.
-    """
+    def __init__(self, kind: str, help_text: str,
+                 buckets: tuple[float, ...]) -> None:
+        self.kind = kind
+        self.help = help_text
+        self.buckets = buckets
+        #: label key -> counter total | gauge samples or callback |
+        #: Histogram
+        self.series: dict[LabelKey, object] = {}
 
-    __slots__ = ("buckets", "window", "_children", "_lock")
 
-    def __init__(self, buckets: tuple[float, ...] = DURATION_BUCKETS,
-                 window: int = DEFAULT_WINDOW) -> None:
-        self.buckets = tuple(sorted(buckets))
-        self.window = window
-        self._children: dict[LabelKey, RollingHistogram] = {}
+class MetricStore:
+    """Thread-safe named metric families (see the module docstring)."""
+
+    def __init__(self, epoch: float | None = None) -> None:
+        #: gauge sample timestamps are seconds since this perf_counter().
+        self.epoch = perf_counter() if epoch is None else epoch
+        #: counter increments + gauge samples + histogram observations
+        #: (the instrumentation calls a disabled tracer would have made).
+        self.op_count = 0
+        self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
-    def labels(self, **labels: object) -> RollingHistogram:
-        key = _label_key({k: str(v) for k, v in labels.items()})
+    def _family(self, name: str, kind: str, help_text: str = "",
+                buckets: tuple[float, ...] = DURATION_BUCKETS) -> _Family:
+        """Create-or-return family ``name``; the caller holds the lock."""
+        family = self._families.get(name)
+        if family is None:
+            family = self._families[name] = _Family(
+                kind, help_text, tuple(sorted(buckets)))
+        elif family.kind != kind:
+            raise ValueError(
+                f"metric {name!r} is a {family.kind}, not a {kind}")
+        return family
+
+    def declare(self, name: str, kind: str, help_text: str = "",
+                buckets: tuple[float, ...] = DURATION_BUCKETS) -> None:
+        """Register family ``name`` (idempotent), so it is rendered with
+        its help text and buckets before its first sample."""
         with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = RollingHistogram(self.buckets, self.window)
-                self._children[key] = child
-            return child
+            self._family(name, kind, help_text, buckets)
 
-    def observe(self, value: float, **labels: object) -> None:
-        self.labels(**labels).observe(value)
-
-    def series(self) -> list[tuple[LabelKey, RollingHistogram]]:
+    def add(self, name: str, value: float = 1.0, **labels) -> None:
+        """Increment counter ``name`` by ``value``."""
+        key = _label_key(labels) if labels else ()
         with self._lock:
-            return sorted(self._children.items())
+            series = self._family(name, "counter").series
+            series[key] = series.get(key, 0.0) + value
+            self.op_count += 1
 
-
-@dataclass(frozen=True)
-class RegisteredMetric:
-    """One named instrument with its exposition metadata."""
-
-    name: str
-    kind: str  # "counter" | "gauge" | "histogram"
-    help: str
-    instrument: object
-    #: constant labels stamped on every series (e.g. a gauge's identity).
-    labels: LabelKey = ()
-
-
-class Registry:
-    """Thread-safe collection of live instruments for one process.
-
-    ``counter``/``gauge``/``histogram`` create-or-return by name (the
-    same name always maps to the same instrument, so instrumentation
-    sites don't need to thread handles around).  :meth:`collect`
-    snapshots the catalog for the Prometheus renderer.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: dict[str, RegisteredMetric] = {}
-        self._lock = threading.Lock()
-
-    def _register(self, name: str, kind: str, help_text: str,
-                  factory, labels: LabelKey = ()):
+    def gauge(self, name: str, value: float, **labels) -> None:
+        """Record a timestamped sample of gauge ``name``."""
+        ts = perf_counter() - self.epoch
+        key = _label_key(labels) if labels else ()
         with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if existing.kind != kind:
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{existing.kind}, not {kind}")
-                return existing.instrument
-            metric = RegisteredMetric(name, kind, help_text, factory(),
-                                      labels=labels)
-            self._metrics[name] = metric
-            return metric.instrument
+            self._family(name, "gauge").series.setdefault(key, []).append(
+                (ts, value))
+            self.op_count += 1
 
-    def counter(self, name: str, help_text: str = "") -> LabeledCounter:
-        return self._register(name, "counter", help_text, LabeledCounter)
-
-    def gauge(self, name: str, help_text: str = "", fn=None,
-              labels: dict[str, str] | None = None) -> Gauge:
-        return self._register(name, "gauge", help_text,
-                              lambda: Gauge(fn=fn),
-                              labels=_label_key(labels or {}))
-
-    def histogram(self, name: str, help_text: str = "",
-                  buckets: tuple[float, ...] = DURATION_BUCKETS,
-                  window: int = DEFAULT_WINDOW) -> Histogram:
-        return self._register(name, "histogram", help_text,
-                              lambda: Histogram(buckets, window))
-
-    def collect(self) -> list[RegisteredMetric]:
+    def gauge_fn(self, name: str, fn, help_text: str = "",
+                 **labels) -> None:
+        """Back gauge ``name`` with the zero-argument ``fn``, read at
+        scrape time (a callback that raises reads as 0)."""
         with self._lock:
-            return [self._metrics[name] for name in sorted(self._metrics)]
+            self._family(name, "gauge", help_text).series[
+                _label_key(labels)] = fn
+
+    def record(self, name: str, value: float, **labels) -> None:
+        """Observe ``value`` into histogram ``name``."""
+        key = _label_key(labels) if labels else ()
+        with self._lock:
+            family = self._family(name, "histogram")
+            hist = family.series.get(key)
+            if hist is None:
+                hist = family.series[key] = Histogram(family.buckets)
+            hist.observe(float(value))
+            self.op_count += 1
+
+    # -- reading -------------------------------------------------------------
+
+    def value(self, name: str, **labels) -> float:
+        """Counter ``name``'s total for exactly ``labels`` (0 if unset)."""
+        with self._lock:
+            family = self._families.get(name)
+            if family is None:
+                return 0.0
+            return family.series.get(_label_key(labels), 0.0)
+
+    def collect(self) -> list[tuple[str, str, str, tuple, list]]:
+        """``(name, kind, help, buckets, [(labels, data), ...])`` per
+        family, sorted by name and label set.  ``data`` is a copy: a
+        counter total, a gauge's sample list or callback, a Histogram."""
+        with self._lock:
+            return [
+                (name, f.kind, f.help, f.buckets,
+                 [(key, _copy(f.series[key])) for key in sorted(f.series)])
+                for name, f in sorted(self._families.items())
+            ]
+
+    def snapshot(self) -> dict[str, dict]:
+        """The unlabeled, sampled series by name, for the JSONL and
+        Chrome exporters: counter totals, gauge sample lists and
+        histogram summaries."""
+        out: dict[str, dict] = {"counters": {}, "gauges": {},
+                                "histograms": {}}
+        for name, kind, _help, _buckets, series in self.collect():
+            data = dict(series).get(())
+            if data is None or callable(data):
+                continue
+            out[kind + "s"][name] = (data.summary() if kind == "histogram"
+                                     else data)
+        return out
+
+    # -- shipping ------------------------------------------------------------
+
+    def raw(self) -> dict:
+        """The full state (callback gauges aside) as a picklable dict,
+        for :meth:`merge_raw` in another store or process."""
+        families = [
+            (name, kind, help_text, buckets,
+             [(key, data) for key, data in series if not callable(data)])
+            for name, kind, help_text, buckets, series in self.collect()
+        ]
+        return {"ops": self.op_count, "families": families}
+
+    def merge_raw(self, raw: dict, ts_shift: float = 0.0) -> None:
+        """Fold another store's :meth:`raw` state into this one.
+
+        Counters and histograms accumulate; gauge samples append with
+        their timestamps shifted by ``ts_shift`` seconds (the source
+        epoch rebased onto this one's).
+        """
+        with self._lock:
+            self.op_count += raw["ops"]
+            for name, kind, help_text, buckets, series in raw["families"]:
+                family = self._family(name, kind, help_text, buckets)
+                for key, data in series:
+                    mine = family.series
+                    if kind == "counter":
+                        mine[key] = mine.get(key, 0.0) + data
+                    elif kind == "gauge":
+                        mine.setdefault(key, []).extend(
+                            (ts + ts_shift, v) for ts, v in data)
+                    else:
+                        mine.setdefault(
+                            key, Histogram(family.buckets)).merge(data)

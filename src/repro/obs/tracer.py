@@ -33,7 +33,7 @@ try:
 except ImportError:  # pragma: no cover - CPython >= 3.7 always has it
     from time import process_time as thread_time
 
-from repro.obs.metrics import MetricSet
+from repro.obs.metrics import MetricStore
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class Tracer:
         #: the live ResourceMonitor sampling into this tracer, if any
         #: (set by ``ResourceMonitor.start``); gates ``resource_window``.
         self.monitor = None
-        self.metrics = MetricSet(epoch=self.epoch)
+        self.metrics = MetricStore(epoch=self.epoch)
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._local = threading.local()

@@ -32,8 +32,11 @@ from repro import obs
 from repro.convert.clocks import ClockSpec
 from repro.library.cell import CellKind, Library
 from repro.netlist.core import Instance, Module, Pin
+from repro.netlist.traversal import comb_topo_order
 from repro.sim.logic import eval_op
 from repro.timing.delay import cell_delay
+from repro.timing.delay import downstream_delay as _downstream_delay
+from repro.timing.delay import upstream_delay as _upstream_delay
 from repro.timing.sta import TimingReport, analyze
 
 
@@ -140,47 +143,6 @@ def _move_forward(
     return 1, removed, new_latch.name
 
 
-def _upstream_delay(module: Module) -> dict[str, float]:
-    """Max combinational delay from any register output to each net."""
-    from repro.netlist.traversal import comb_topo_order
-
-    up: dict[str, float] = dict.fromkeys(module.nets, 0.0)
-    for inst in module.sequential_instances():
-        q = inst.conns.get("Q")
-        if q is not None:
-            up[q] = max(up[q], cell_delay(module, inst))
-    for name in comb_topo_order(module):
-        inst = module.instances[name]
-        out = inst.conns.get(inst.cell.output_pin)
-        if out is None:
-            continue
-        arrivals = [
-            up[inst.conns[p]] for p in inst.cell.input_pins
-            if inst.conns.get(p) is not None
-        ]
-        if arrivals:
-            up[out] = max(up[out], max(arrivals) + cell_delay(module, inst))
-    return up
-
-
-def _downstream_delay(module: Module) -> dict[str, float]:
-    """Max combinational delay from each net to any sequential data pin."""
-    from repro.netlist.traversal import comb_topo_order
-
-    down: dict[str, float] = dict.fromkeys(module.nets, 0.0)
-    for name in reversed(comb_topo_order(module)):
-        inst = module.instances[name]
-        out = inst.conns.get(inst.cell.output_pin)
-        if out is None:
-            continue
-        total = cell_delay(module, inst) + down[out]
-        for pin in inst.cell.input_pins:
-            net = inst.conns.get(pin)
-            if net is not None:
-                down[net] = max(down[net], total)
-    return down
-
-
 def _setup_violated(report: TimingReport) -> bool:
     return any(v.kind in ("setup", "divergence") for v in report.violations)
 
@@ -280,8 +242,9 @@ def _balance_moves(
         movable = _movable_latches(module, movable_phase)
         if not movable:
             return
-        up = _upstream_delay(module)
-        down = _downstream_delay(module)
+        order = comb_topo_order(module)
+        up = _upstream_delay(module, order)
+        down = _downstream_delay(module, order)
         moved = False
         for latch_name in sorted(movable):
             latch = module.instances[latch_name]

@@ -28,7 +28,7 @@ GET       ``/jobs/<id>/result``    per-style rows (409 until done, 500 failed)
 GET       ``/jobs/<id>/events``    NDJSON event stream until terminal
 ========  =======================  =============================================
 
-Every request is accounted into the manager's metrics registry
+Every request is accounted into the manager's metric store
 (``repro_http_requests_total`` / ``repro_http_request_seconds``) with
 the path normalized to its route shape (``/jobs/:id/result``), so the
 label cardinality stays bounded no matter how many jobs exist.
@@ -50,7 +50,7 @@ import threading
 from time import perf_counter
 
 from repro.obs.promexpo import CONTENT_TYPE as _PROM_CONTENT_TYPE
-from repro.obs.promexpo import render_registry
+from repro.obs.promexpo import render
 from repro.serve.jobs import (
     DONE,
     FAILED,
@@ -174,7 +174,7 @@ class ServeApp:
         if path == "/metricsz":
             if method != "GET":
                 return self._send(writer, 405, {"error": "GET only"})
-            body_text = render_registry(self.manager.registry).encode()
+            body_text = render(self.manager.metrics).encode()
             writer.write(_head(200, content_type=_PROM_CONTENT_TYPE,
                                length=len(body_text)) + body_text)
             writer._repro_status = 200

@@ -43,13 +43,17 @@ from repro.circuits import build, spec
 from repro.flow.design_flow import STYLES, DesignResult, FlowOptions
 from repro.flow.executor import FlowTask
 from repro.flow.scheduler import COMPARE_STYLES, JobScheduler
-from repro.obs.metrics import BYTE_BUCKETS, Registry
+from repro.obs.metrics import MetricStore
 from repro.obs.monitor import read_rss_bytes
+from repro.obs.promexpo import observe_stages
 from repro.power.model import savings
 
 #: job states; ``done``/``failed`` are terminal.
 QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 TERMINAL = (DONE, FAILED)
+
+#: the ``outcome`` labels of the ``jobs`` counter, in ``/statsz`` order.
+JOB_OUTCOMES = ("submitted", "deduped", "rejected", "completed", "failed")
 
 #: FlowOptions fields a submission may override.  ``style`` is per-task,
 #: ``library`` is an object, and the lint gate stays at the server's
@@ -232,9 +236,7 @@ class JobManager:
         self._ids = itertools.count(1)
         self._running = 0
         self._draining = False
-        self._counters = {"submitted": 0, "deduped": 0, "rejected": 0,
-                          "completed": 0, "failed": 0}
-        self._init_registry()
+        self._init_metrics()
         self._idle = threading.Condition(self._lock)
         self._workers = [
             threading.Thread(target=self._worker, daemon=True,
@@ -246,54 +248,35 @@ class JobManager:
 
     # -- metrics / identity --------------------------------------------------
 
-    def _init_registry(self) -> None:
-        """The live instrument catalog behind ``GET /metricsz``
-        (rendered by :mod:`repro.obs.promexpo`; documented in
-        docs/observability.md)."""
-        reg = self.registry = Registry()
-        reg.gauge("repro_build_info",
-                  "daemon identity; the value is always 1",
-                  fn=lambda: 1.0,
-                  labels={"version": __version__})
-        reg.gauge("repro_process_uptime_seconds",
-                  "seconds since the job manager started",
-                  fn=lambda: time.time() - self.started_at)
-        reg.gauge("repro_process_rss_bytes",
-                  "current resident set size of the daemon process",
-                  fn=read_rss_bytes)
-        reg.gauge("repro_queue_depth", "jobs waiting in the bounded queue",
-                  fn=self._queue.qsize)
-        reg.gauge("repro_queue_capacity",
-                  "bound of the job queue (submissions beyond it get 429)",
-                  fn=lambda: float(self.queue_depth))
-        reg.gauge("repro_jobs_running", "jobs currently executing",
-                  fn=lambda: float(self._running))
-        reg.gauge("repro_executor_inflight",
-                  "style-flow tasks in flight on the shared executor",
-                  fn=lambda: float(self.scheduler.inflight))
-        reg.gauge("repro_executor_occupancy",
-                  "in-flight tasks over executor width (0..1)",
-                  fn=self.scheduler.occupancy)
-        self._m_http = reg.counter(
-            "repro_http_requests_total",
-            "HTTP requests by endpoint, method, and status")
-        self._m_http_latency = reg.histogram(
-            "repro_http_request_seconds",
-            "request handling latency by endpoint")
-        self._m_jobs = reg.counter(
-            "repro_jobs_total",
-            "job intake and completion outcomes "
-            "(submitted/deduped/rejected/completed/failed)")
-        self._m_cache = reg.counter(
-            "repro_stage_cache_total",
-            "stage-level artifact cache outcomes across jobs")
-        self._m_stage_seconds = reg.histogram(
-            "repro_stage_seconds",
-            "wall-clock seconds per executed pipeline stage")
-        self._m_stage_rss = reg.histogram(
-            "repro_stage_peak_rss_bytes",
-            "peak resident set size per monitored pipeline stage",
-            buckets=BYTE_BUCKETS)
+    def _init_metrics(self) -> None:
+        """The live metric store behind ``GET /metricsz`` (rendered by
+        :mod:`repro.obs.promexpo`; documented in docs/serving.md)."""
+        m = self.metrics = MetricStore()
+        m.gauge_fn("build_info", lambda: 1.0,
+                   "daemon identity; the value is always 1",
+                   version=__version__)
+        m.gauge_fn("process_uptime_seconds",
+                   lambda: time.time() - self.started_at,
+                   "seconds since the job manager started")
+        m.gauge_fn("process_rss_bytes", read_rss_bytes,
+                   "current resident set size of the daemon process")
+        m.gauge_fn("queue_depth", self._queue.qsize,
+                   "jobs waiting in the bounded queue")
+        m.gauge_fn("queue_capacity", lambda: self.queue_depth,
+                   "bound of the job queue (submissions beyond it get 429)")
+        m.gauge_fn("jobs_running", lambda: self._running,
+                   "jobs currently executing")
+        m.gauge_fn("executor_inflight", lambda: self.scheduler.inflight,
+                   "style-flow tasks in flight on the shared executor")
+        m.gauge_fn("executor_occupancy", self.scheduler.occupancy,
+                   "in-flight tasks over executor width (0..1)")
+        m.declare("http_requests", "counter",
+                  "HTTP requests by endpoint, method, and status")
+        m.declare("http_request_seconds", "histogram",
+                  "request handling latency by endpoint")
+        m.declare("jobs", "counter", "job intake and completion outcomes "
+                  f"({'/'.join(JOB_OUTCOMES)})")
+        observe_stages(m)
 
     def identity(self) -> dict:
         """The shared identity block of ``/healthz`` and ``/statsz``:
@@ -308,19 +291,10 @@ class JobManager:
     def observe_http(self, method: str, endpoint: str, status: int,
                      seconds: float) -> None:
         """Per-request accounting, called by the HTTP layer."""
-        self._m_http.inc(method=method, endpoint=endpoint, status=status)
-        self._m_http_latency.observe(seconds, endpoint=endpoint)
-
-    def _observe_job_result(self, result) -> None:
-        """Fold one style run's StageRecords into the stage metrics."""
-        for record in result.stages:
-            self._m_stage_seconds.observe(record.wall_time,
-                                          stage=record.stage)
-            self._m_cache.inc(outcome="hit" if record.cache_hit
-                              else "miss")
-            peak = record.summary.get("peak_rss_bytes")
-            if isinstance(peak, (int, float)):
-                self._m_stage_rss.observe(float(peak), stage=record.stage)
+        self.metrics.add("http_requests", method=method, endpoint=endpoint,
+                         status=status)
+        self.metrics.record("http_request_seconds", seconds,
+                            endpoint=endpoint)
 
     # -- intake --------------------------------------------------------------
 
@@ -351,22 +325,19 @@ class JobManager:
                 raise DrainingError("daemon is draining; resubmit later")
             active = self._active_by_key.get(key)
             if active is not None:
-                self._counters["deduped"] += 1
-                self._m_jobs.inc(outcome="deduped")
+                self.metrics.add("jobs", outcome="deduped")
                 return self._jobs[active], True
             job = Job(id=f"j{next(self._ids):06d}", key=key, design=design,
                       styles=chosen, options=options)
             try:
                 self._queue.put_nowait(job)
             except queue.Full:
-                self._counters["rejected"] += 1
-                self._m_jobs.inc(outcome="rejected")
+                self.metrics.add("jobs", outcome="rejected")
                 raise QueueFullError(
                     f"job queue full ({self.queue_depth} pending)") from None
             self._jobs[job.id] = job
             self._active_by_key[key] = job.id
-            self._counters["submitted"] += 1
-            self._m_jobs.inc(outcome="submitted")
+            self.metrics.add("jobs", outcome="submitted")
             job.event("queued")
         return job, False
 
@@ -420,8 +391,8 @@ class JobManager:
                 if monitor is not None:
                     monitor.stop()
             job.results = dict(zip(job.styles, results))
+            observe_stages(self.metrics, tracer.spans)
             for result in results:
-                self._observe_job_result(result)
                 for record in result.stages:
                     if record.cache_hit:
                         job.cache_hits += 1
@@ -438,9 +409,8 @@ class JobManager:
                 job.finished_at = time.time()
                 self._running -= 1
                 self._active_by_key.pop(job.key, None)
-                self._counters["completed" if state == DONE else "failed"] += 1
-                self._m_jobs.inc(
-                    outcome="completed" if state == DONE else "failed")
+                self.metrics.add(
+                    "jobs", outcome="completed" if state == DONE else "failed")
                 job.event("finished", wall_s=job.wall_s, error=job.error,
                           cache_hits=job.cache_hits,
                           cache_misses=job.cache_misses)
@@ -511,7 +481,8 @@ class JobManager:
     def stats(self) -> dict:
         """The JSON body of ``GET /statsz``.
 
-        The ``cache`` block reuses the scheduler's serializer (memory
+        The ``jobs`` and ``stage_cache`` blocks read the ``jobs`` and
+        ``stage_cache`` counters of :attr:`metrics`.  The ``cache`` block reuses the scheduler's serializer (memory
         tier counters + :meth:`DiskCacheStats.to_dict` for the disk
         tier) — the same shape ``repro cache stats --format json``
         prints, so dashboards need one parser.
@@ -520,14 +491,12 @@ class JobManager:
             jobs = {
                 "queued": self._queue.qsize(),
                 "running": self._running,
-                **self._counters,
+                **{outcome: int(self.metrics.value("jobs", outcome=outcome))
+                   for outcome in JOB_OUTCOMES},
             }
             draining = self._draining
-        hits = misses = 0
-        with self._lock:
-            for job in self._jobs.values():
-                hits += job.cache_hits
-                misses += job.cache_misses
+        hits = int(self.metrics.value("stage_cache", outcome="hit"))
+        misses = int(self.metrics.value("stage_cache", outcome="miss"))
         total = hits + misses
         return {
             **self.identity(),

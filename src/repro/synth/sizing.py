@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 from repro.convert.clocks import ClockSpec
 from repro.library.cell import CellKind, Library
-from repro.netlist.core import Module, Pin
+from repro.netlist.core import Module
 from repro.netlist.traversal import comb_topo_order
-from repro.timing.delay import cell_delay
+from repro.timing.delay import cell_delay, downstream_delay, upstream_delay
 from repro.timing.sta import analyze
 
 
@@ -38,44 +38,6 @@ class SizingReport:
     @property
     def area_saved(self) -> float:
         return self.area_before - self.area_after
-
-
-def _path_extents(module: Module) -> tuple[dict[str, float], dict[str, float]]:
-    """(up, down): per-net max delay from/to the nearest registers."""
-    order = comb_topo_order(module)
-    up: dict[str, float] = dict.fromkeys(module.nets, 0.0)
-    down: dict[str, float] = dict.fromkeys(module.nets, 0.0)
-
-    for inst in module.sequential_instances():
-        q = inst.conns.get("Q")
-        if q is not None:
-            up[q] = max(up[q], cell_delay(module, inst))
-
-    for name in order:
-        inst = module.instances[name]
-        out = inst.conns.get(inst.cell.output_pin)
-        if out is None:
-            continue
-        delay = cell_delay(module, inst)
-        arrivals = [
-            up[inst.conns[p]]
-            for p in inst.cell.input_pins
-            if inst.conns.get(p) is not None
-        ]
-        if arrivals:
-            up[out] = max(up[out], max(arrivals) + delay)
-
-    for name in reversed(order):
-        inst = module.instances[name]
-        out = inst.conns.get(inst.cell.output_pin)
-        if out is None:
-            continue
-        total = cell_delay(module, inst) + down[out]
-        for p in inst.cell.input_pins:
-            net = inst.conns.get(p)
-            if net is not None:
-                down[net] = max(down[net], total)
-    return up, down
 
 
 def _tightest_budget(clocks: ClockSpec) -> float:
@@ -105,7 +67,9 @@ def downsize_gates(
     """
     report = SizingReport(area_before=module.total_area())
     budget = _tightest_budget(clocks) * safety_fraction
-    up, down = _path_extents(module)
+    order = comb_topo_order(module)
+    up = upstream_delay(module, order)
+    down = downstream_delay(module, order)
 
     candidates: list[str] = []
     for name, inst in module.instances.items():

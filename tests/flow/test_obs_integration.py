@@ -94,9 +94,9 @@ class TestTracedRunFlow:
 
     def test_metrics_collected(self, traced):
         tracer, _ = traced
-        assert tracer.metrics.counters["sim.events"] > 0
-        assert tracer.metrics.counters["convert.latches"] > 0
-        assert tracer.metrics.gauges["sim.events_per_s"]
+        assert tracer.metrics.value("sim.events") > 0
+        assert tracer.metrics.value("convert.latches") > 0
+        assert tracer.metrics.snapshot()["gauges"]["sim.events_per_s"]
 
 
 class TestCacheObservability:
@@ -118,10 +118,10 @@ class TestCacheObservability:
         with obs.use_tracer(tracer):
             run_flow(design, opts, cache=cache)
             run_flow(design, opts, cache=cache)
-        assert tracer.metrics.counters["cache.hits"] > 0
-        assert tracer.metrics.counters["cache.misses"] > 0
-        waits = tracer.metrics.histograms["cache.lock_wait_s"]
-        assert waits and all(w >= 0.0 for w in waits)
+        assert tracer.metrics.value("cache.hits") > 0
+        assert tracer.metrics.value("cache.misses") > 0
+        waits = tracer.metrics.snapshot()["histograms"]["cache.lock_wait_s"]
+        assert waits["count"] and waits["min"] >= 0.0
 
 
 class TestParallelTracing:
@@ -158,3 +158,39 @@ class TestJobsValidation:
     def test_bad_jobs_rejected(self, design, options, jobs):
         with pytest.raises(ValueError, match="positive integer"):
             compare_styles(design, options, jobs=jobs)
+
+
+#: deterministic work counts of one traced s1196 compare_styles at 16
+#: cycles; a change to any of them is a change in what the flow does
+S1196_COUNTERS = {
+    "cache.hits": 2, "cache.misses": 29, "convert.latches": 26,
+    "lint.findings": 0, "pnr.cts.buffers": 0, "retime.moves": 0,
+    "sim.compiles": 4, "sim.events": 4299,
+}
+
+
+@pytest.mark.parametrize("jobs,executor", [(1, "serial"), (2, "process")],
+                         ids=["serial", "process"])
+def test_counter_oracle(jobs, executor, tmp_path):
+    """Exact counters, histogram counts and gauge sample counts of one
+    traced run, read back from the JSONL export.  Process workers ship
+    their metrics to the parent, so both executors give the same
+    values."""
+    import json
+
+    tracer = Tracer()
+    with obs.use_tracer(tracer):
+        compare_styles(build("s1196"), FlowOptions(sim_cycles=16),
+                       jobs=jobs, executor=executor)
+    path = tmp_path / "run.jsonl"
+    obs.write_jsonl(tracer, str(path))
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    by_type: dict[str, dict] = {}
+    for line in lines:
+        by_type.setdefault(line["type"], {})[line.get("name")] = line
+    counters = {name: by_type["counter"].get(name, {"value": 0})["value"]
+                for name in S1196_COUNTERS}
+    assert counters == S1196_COUNTERS
+    assert by_type["histogram"]["cache.lock_wait_s"]["count"] == 31
+    assert len(by_type["gauge"]["sim.events_per_s"]["series"]) == 4
+    assert len(by_type["gauge"]["ilp.ffs"]["series"]) == 1

@@ -171,7 +171,7 @@ def test_disk_traffic_cold_stores_what_warm_loads(tmp_path):
         with obs.use_tracer(tracer):
             compare_styles(design, options,
                            cache=ArtifactCache(disk=DiskCache(tmp_path)))
-        counters[run] = tracer.metrics.counters
+        counters[run] = tracer.metrics.snapshot()["counters"]
     cold, warm = counters["cold"], counters["warm"]
     assert cold["cache.disk_stores"] == warm["cache.disk_hits"] > 0
     assert "cache.disk_load_bytes" not in cold

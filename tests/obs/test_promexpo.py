@@ -1,19 +1,12 @@
-"""Live metrics instruments and the Prometheus text renderer."""
+"""The metric store and the Prometheus text renderer."""
 
 import pytest
 
-from repro.obs.metrics import (
-    BYTE_BUCKETS,
-    Gauge,
-    LabeledCounter,
-    Registry,
-    RollingHistogram,
-)
+from repro.obs.metrics import BYTE_BUCKETS, MetricStore
 from repro.obs.promexpo import (
     CONTENT_TYPE,
     metric_name,
-    registry_from_tracer,
-    render_registry,
+    render,
     write_metrics,
 )
 from tests.obs.promparse import (
@@ -25,45 +18,89 @@ from tests.obs.promparse import (
 
 class TestInstruments:
     def test_labeled_counter(self):
-        counter = LabeledCounter()
-        counter.inc(endpoint="/jobs", status="202")
-        counter.inc(2.0, endpoint="/jobs", status="202")
-        counter.inc(endpoint="/healthz", status="200")
-        assert counter.total() == 4.0
-        series = dict(counter.series())
-        assert series[(("endpoint", "/jobs"), ("status", "202"))] == 3.0
+        store = MetricStore()
+        store.add("c", endpoint="/jobs", status="202")
+        store.add("c", 2.0, endpoint="/jobs", status="202")
+        store.add("c", endpoint="/healthz", status="200")
+        assert store.value("c", endpoint="/jobs", status="202") == 3.0
+        assert store.value("c", status="202", endpoint="/jobs") == 3.0
+        [(_, kind, _, _, series)] = store.collect()
+        assert kind == "counter"
+        assert sum(total for _, total in series) == 4.0
 
     def test_gauge_callback_and_set(self):
-        gauge = Gauge(fn=lambda: 42.0)
-        assert gauge.value() == 42.0
-        direct = Gauge()
-        direct.set(7.0)
-        assert direct.value() == 7.0
+        store = MetricStore()
+        store.gauge_fn("fn", lambda: 42.0)
+        store.gauge("direct", 7.0)
+        parsed = parse_exposition(render(store))
+        assert sample_values(parsed, "repro_fn") == [42.0]
+        assert sample_values(parsed, "repro_direct") == [7.0]
 
     def test_gauge_callback_failure_reads_zero(self):
         def boom():
             raise RuntimeError("scrape must not die")
-        assert Gauge(fn=boom).value() == 0.0
+        store = MetricStore()
+        store.gauge_fn("boom", boom)
+        assert sample_values(parse_exposition(render(store)),
+                             "repro_boom") == [0.0]
 
     def test_rolling_histogram_buckets_cumulative(self):
-        hist = RollingHistogram(buckets=(1.0, 10.0))
+        store = MetricStore()
+        store.declare("h", "histogram", buckets=(1.0, 10.0))
         for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        assert hist.bucket_counts() == [(1.0, 1), (10.0, 2)]
-        assert hist.count == 3
-        assert hist.total == 55.5
+            store.record("h", value)
+        parsed = parse_exposition(render(store))
+        assert [(labels["le"], value) for name, labels, value
+                in parsed["samples"] if name == "repro_h_bucket"] == [
+            ("1", 1.0), ("10", 2.0), ("+Inf", 3.0)]
+        assert sample_values(parsed, "repro_h_count") == [3.0]
+        assert sample_values(parsed, "repro_h_sum") == [55.5]
 
     def test_window_summary_zeroed_when_empty(self):
-        summary = RollingHistogram().window_summary()
+        from repro.obs.metrics import Histogram
+
+        summary = Histogram(BYTE_BUCKETS).summary()
         assert summary["count"] == 0
         assert summary["p95"] == 0.0
 
+    def test_summary_percentiles_over_the_window(self):
+        from repro.obs.metrics import DEFAULT_WINDOW
+
+        store = MetricStore()
+        for value in range(DEFAULT_WINDOW * 2):
+            store.record("h", value)
+        summary = store.snapshot()["histograms"]["h"]
+        # count/min/max/mean cover every observation ...
+        assert summary["count"] == DEFAULT_WINDOW * 2
+        assert summary["min"] == 0.0
+        assert summary["max"] == DEFAULT_WINDOW * 2 - 1
+        assert summary["mean"] == (DEFAULT_WINDOW * 2 - 1) / 2
+        # ... the percentiles only the most recent DEFAULT_WINDOW
+        assert summary["p50"] == DEFAULT_WINDOW + DEFAULT_WINDOW // 2
+
     def test_registry_create_or_return_and_kind_mismatch(self):
-        registry = Registry()
-        counter = registry.counter("repro_x_total", "x")
-        assert registry.counter("repro_x_total", "x") is counter
+        store = MetricStore()
+        store.declare("x", "counter", "x")
+        store.declare("x", "counter", "x")
+        assert len(store.collect()) == 1
         with pytest.raises(ValueError):
-            registry.gauge("repro_x_total", "x")
+            store.declare("x", "gauge", "x")
+
+    def test_merge_raw_accumulates(self):
+        a, b = MetricStore(), MetricStore()
+        for store in (a, b):
+            store.add("c", 2)
+            store.add("jobs", outcome="done")
+            store.gauge("g", 1.0)
+            store.record("h", 0.5)
+        a.merge_raw(b.raw(), ts_shift=10.0)
+        assert a.value("c") == 4.0
+        assert a.value("jobs", outcome="done") == 2.0
+        snap = a.snapshot()
+        assert [v for _, v in snap["gauges"]["g"]] == [1.0, 1.0]
+        assert snap["gauges"]["g"][1][0] >= 10.0
+        assert snap["histograms"]["h"]["count"] == 2
+        assert a.op_count == 8
 
 
 class TestRenderer:
@@ -72,19 +109,19 @@ class TestRenderer:
         assert metric_name("9bad") == "repro__9bad"
 
     def test_exposition_parses_and_obeys_invariants(self):
-        registry = Registry()
-        counter = registry.counter("repro_jobs_total", "job outcomes")
-        counter.inc(outcome="completed")
-        counter.inc(3, outcome="failed")
-        gauge = registry.gauge("repro_queue_depth", "queued jobs")
-        gauge.set(4)
-        hist = registry.histogram("repro_stage_seconds", "stage wall",
-                                  buckets=(0.1, 1.0))
-        hist.observe(0.05, stage="synth")
-        hist.observe(5.0, stage="synth")
-        hist.observe(0.5, stage="sim")
+        store = MetricStore()
+        store.declare("jobs", "counter", "job outcomes")
+        store.add("jobs", outcome="completed")
+        store.add("jobs", 3, outcome="failed")
+        store.declare("queue_depth", "gauge", "queued jobs")
+        store.gauge("queue_depth", 4)
+        store.declare("stage_seconds", "histogram", "stage wall",
+                      buckets=(0.1, 1.0))
+        store.record("stage_seconds", 0.05, stage="synth")
+        store.record("stage_seconds", 5.0, stage="synth")
+        store.record("stage_seconds", 0.5, stage="sim")
 
-        text = render_registry(registry)
+        text = render(store)
         parsed = parse_exposition(text)
         assert parsed["types"] == {
             "repro_jobs_total": "counter",
@@ -99,34 +136,39 @@ class TestRenderer:
                              stage="synth") == [2.0]
 
     def test_label_values_escaped(self):
-        registry = Registry()
-        counter = registry.counter("repro_odd_total", "odd labels")
-        counter.inc(path='with"quote', note="line\nbreak")
-        text = render_registry(registry)
+        store = MetricStore()
+        store.declare("odd", "counter", "odd labels")
+        store.add("odd", path='with"quote', note="line\nbreak")
+        text = render(store)
         assert r'path="with\"quote"' in text
         assert r'note="line\nbreak"' in text
         parse_exposition(text)  # still parses
 
     def test_empty_counter_renders_zero_line(self):
-        registry = Registry()
-        registry.counter("repro_untouched_total", "never incremented")
-        parsed = parse_exposition(render_registry(registry))
+        store = MetricStore()
+        store.declare("untouched", "counter", "never incremented")
+        parsed = parse_exposition(render(store))
         assert sample_values(parsed, "repro_untouched_total") == [0.0]
 
     def test_content_type_pinned(self):
         assert CONTENT_TYPE == "text/plain; version=0.0.4; charset=utf-8"
 
     def test_write_metrics(self, tmp_path):
-        registry = Registry()
-        registry.gauge("repro_up", "up").set(1)
+        from repro import obs
+
+        tracer = obs.Tracer()
+        tracer.metrics.declare("up", "gauge", "up")
+        tracer.metrics.gauge("up", 1)
         path = tmp_path / "metrics.prom"
-        write_metrics(registry, str(path))
+        write_metrics(tracer, str(path))
         parsed = parse_exposition(path.read_text())
         assert sample_values(parsed, "repro_up") == [1.0]
 
 
 class TestRegistryFromTracer:
-    def test_batch_run_metrics_match_daemon_families(self):
+    """A finished run's tracer store, rendered for ``--metrics-out``."""
+
+    def test_batch_run_metrics_match_daemon_families(self, tmp_path):
         from repro import obs
 
         tracer = obs.Tracer()
@@ -139,8 +181,9 @@ class TestRegistryFromTracer:
                     obs.record("cache.lock_wait_s", 0.001)
                     sp.set(**window.close())
 
-        parsed = parse_exposition(
-            render_registry(registry_from_tracer(tracer)))
+        path = tmp_path / "metrics.prom"
+        write_metrics(tracer, str(path))
+        parsed = parse_exposition(path.read_text())
         assert sample_values(parsed, "repro_cache_hits_total") == [2.0]
         assert sample_values(parsed, "repro_sim_events_per_s") == [1e6]
         assert_histogram_invariants(parsed, "repro_cache_lock_wait_s")
@@ -149,6 +192,8 @@ class TestRegistryFromTracer:
                              stage="synth", style="3p") == [1.0]
         assert sample_values(parsed, "repro_stage_peak_rss_bytes_count",
                              stage="synth") == [1.0]
+        assert sample_values(parsed, "repro_stage_cache_total",
+                             outcome="miss") == [1.0]
         assert_histogram_invariants(parsed, "repro_stage_peak_rss_bytes")
         peak = sample_values(parsed, "repro_process_peak_rss_bytes")
         assert peak and peak[0] > 0

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro import obs
-from repro.obs.metrics import MetricSet
+from repro.obs.metrics import DURATION_BUCKETS, Histogram, MetricStore
 from repro.obs.tracer import NULL_SPAN, Tracer
 
 
@@ -116,21 +116,21 @@ class TestMetrics:
     def test_counters_accumulate(self, tracer):
         obs.add("hits")
         obs.add("hits", 2)
-        assert tracer.metrics.counters["hits"] == 3.0
-        assert tracer.metrics.counter_ops["hits"] == 2
+        assert tracer.metrics.value("hits") == 3.0
+        assert tracer.op_count == 2
 
     def test_gauges_keep_the_series(self, tracer):
         obs.gauge("rate", 1.0)
         obs.gauge("rate", 2.0)
-        series = tracer.metrics.gauges["rate"]
+        series = tracer.metrics.snapshot()["gauges"]["rate"]
         assert [v for _, v in series] == [1.0, 2.0]
         assert series[0][0] <= series[1][0]
 
     def test_histogram_summary(self):
-        metrics = MetricSet()
+        metrics = MetricStore()
         for v in (1.0, 2.0, 3.0, 4.0):
             metrics.record("h", v)
-        summary = metrics.histogram_summary("h")
+        summary = metrics.snapshot()["histograms"]["h"]
         assert summary["count"] == 4
         assert summary["min"] == 1.0 and summary["max"] == 4.0
         assert summary["mean"] == 2.5
@@ -138,7 +138,7 @@ class TestMetrics:
 
     def test_empty_histogram(self):
         # fully zeroed summary: consumers can always read min/p95 etc.
-        assert MetricSet().histogram_summary("nope") == {
+        assert Histogram(DURATION_BUCKETS).summary() == {
             "count": 0, "min": 0.0, "max": 0.0, "mean": 0.0,
             "p50": 0.0, "p95": 0.0,
         }

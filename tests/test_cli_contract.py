@@ -152,3 +152,30 @@ class TestContractIsDocumented:
         for needle in ("repro lint", "repro verify", "exit code",
                        "--fail-on", "--format json"):
             assert needle in doc, f"docs/verify.md must mention {needle!r}"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--metrics-out", "/nonexistent/x.prom"],
+     "argument --metrics-out: no such directory: /nonexistent"),
+    (["--obs-jsonl", "/nonexistent/x.jsonl"],
+     "argument --obs-jsonl: no such directory: /nonexistent"),
+    (["--trace", "/nonexistent/x.json"],
+     "argument --trace: no such directory: /nonexistent"),
+    (["--metrics-out", "."], "argument --metrics-out: . is a directory"),
+    (["--monitor-interval", "0"], "argument --monitor-interval: must be"),
+    (["--monitor-interval", "-1"], "argument --monitor-interval: must be"),
+], ids=["metrics-out", "obs-jsonl", "trace", "metrics-out-dir",
+        "interval-0", "interval-neg"])
+def test_bad_observability_flag_exits_two_before_the_flow(
+        argv, message, capsys, monkeypatch):
+    """An unwritable export path or a non-positive sampling interval is
+    one ``error:`` line and exit 2 at argument time, before any flow
+    work (which would otherwise run to the end and then fail)."""
+    def no_flow(*_args, **_kwargs):
+        raise AssertionError("the flow started")
+
+    monkeypatch.setattr("repro.cli.compare_styles", no_flow)
+    assert main(["run", "s1196", "--cycles", "16", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
