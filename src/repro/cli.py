@@ -38,33 +38,37 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
-
-
-def _cycles(text: str) -> int:
-    """A simulation budget: it must outlast the flow's activity warm-up."""
-    value = _positive_int(text)
-    warmup = FlowOptions.warmup_cycles
-    if value <= warmup:
-        raise argparse.ArgumentTypeError(
-            f"must exceed the {warmup}-cycle warm-up, got {value}")
-    return value
-
-
 class _UsageError(Exception):
     """A bad argument value (an unregistered design, an export path
     that cannot be written ...).  Deliberately not an argparse error: it passes
     through ``parse_args`` so :func:`main` reports it in one line and
     returns 2 before any work starts."""
+
+
+def _positive_int(flag: str):
+    """An argument type for ``flag``: an integer of at least 1."""
+    def check(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise _UsageError(
+                f"argument {flag}: invalid int value: {text!r}") from None
+        if value < 1:
+            raise _UsageError(
+                f"argument {flag}: must be a positive integer, got {value}")
+        return value
+    return check
+
+
+def _cycles(text: str) -> int:
+    """A simulation budget: it must outlast the flow's activity warm-up."""
+    value = _positive_int("--cycles")(text)
+    warmup = FlowOptions.warmup_cycles
+    if value <= warmup:
+        raise _UsageError(
+            f"argument --cycles: must exceed the {warmup}-cycle warm-up, "
+            f"got {value}")
+    return value
 
 
 def _design(text: str) -> str:
@@ -104,7 +108,8 @@ def _interval(text: str) -> float:
 
 
 def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
+    parser.add_argument("--jobs", type=_positive_int("--jobs"), default=1,
+                        metavar="N",
                         help="run up to N style flows concurrently "
                              "(default 1: sequential)")
     parser.add_argument("--executor", choices=("serial", "thread", "process"),
@@ -218,7 +223,8 @@ def _flow_option_overrides(args: argparse.Namespace) -> dict:
 
 def _add_sim_lanes_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--sim-lanes", type=_positive_int, default=1, metavar="N",
+        "--sim-lanes", type=_positive_int("--sim-lanes"), default=1,
+        metavar="N",
         dest="sim_lanes",
         help="stimulus vectors per kernel pass in the activity-collecting "
              "stages (1 = single-vector engines, up to 64 = bit-parallel "
@@ -694,7 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="formally prove a design's conversions equivalent to the FF "
              "reference (per-cone SAT miters; see docs/verify.md)")
     _add_gate_args(verify, "check", "cone findings")
-    verify.add_argument("--conflict-budget", type=_positive_int,
+    verify.add_argument("--conflict-budget",
+                        type=_positive_int("--conflict-budget"),
                         default=200_000, metavar="N", dest="conflict_budget",
                         help="CDCL conflicts allowed per cone before it "
                              "reports as undecided (default 200000)")
@@ -710,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarize a trace file (top spans by self-time, per stage)")
     trace.add_argument("file", help="Chrome trace or JSONL file "
                                     "written by --trace / --obs-jsonl")
-    trace.add_argument("--top", type=_positive_int, default=15, metavar="N",
+    trace.add_argument("--top", type=_positive_int("--top"), default=15,
+                       metavar="N",
                        help="show the N hottest span names (default 15)")
     trace.add_argument("--format", choices=("text", "json"), default="text",
                        help="output format (json emits the same summary "
@@ -757,7 +765,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerances", default=None, metavar="FILE",
                        help="JSON file of per-metric overrides: "
                             '{"bench.metric.glob": pct, ...}')
-        p.add_argument("--runs", type=_positive_int, default=3, metavar="N",
+        p.add_argument("--runs", type=_positive_int("--runs"), default=3,
+                       metavar="N",
                        help="median over the last N entries per side "
                             "(default 3)")
         p.add_argument("--min-abs-s", type=float, default=0.0, metavar="S",
@@ -792,12 +801,12 @@ def build_parser() -> argparse.ArgumentParser:
              "with POST /jobs; see docs/serving.md)")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8437)
-    serve.add_argument("--workers", type=_positive_int, default=2,
+    serve.add_argument("--workers", type=_positive_int("--workers"), default=2,
                        metavar="N",
                        help="concurrent jobs drained from the queue "
                             "(default 2)")
-    serve.add_argument("--queue-depth", type=_positive_int, default=16,
-                       metavar="N",
+    serve.add_argument("--queue-depth", type=_positive_int("--queue-depth"),
+                       default=16, metavar="N",
                        help="max queued jobs before submissions get "
                             "429 (default 16)")
     serve.add_argument("--job-dir", metavar="DIR", default=None,
@@ -830,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="SMO-optimal phase schedule for a converted benchmark")
     schedule.add_argument("design", type=_design)
     schedule.add_argument(
-        "--probes", type=_positive_int, default=1, metavar="K",
+        "--probes", type=_positive_int("--probes"), default=1, metavar="K",
         help="candidate periods evaluated per minimum-period search step "
              "(1 = bisection; K > 1 shrinks the bracket by K+1 per step)")
     schedule.set_defaults(func=_cmd_schedule)

@@ -17,7 +17,10 @@ hand-rolled per step:
   mutates the :class:`Module` it is handed (editing stages copy it
   first), so cached netlists are shared by reference and a stage that
   hands on the very object it received is known not to have changed
-  it: its output digest is its input digest.
+  it: its output digest is its input digest;
+* **garbage collection** -- the cyclic collector is paused while any
+  flow runs (:class:`_GcPause`): the flow makes no reference cycles,
+  and full collections would rescan every cached netlist.
 
 Stage chains are linear per style (a degenerate DAG); ``inputs`` /
 ``produces`` declare the artifact flow so the runner can check wiring
@@ -26,6 +29,7 @@ and a future scheduler could overlap independent stages.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import threading
 import time
@@ -36,6 +40,7 @@ from repro import obs
 from repro.convert import ClockSpec
 from repro.flow.diskcache import DiskCache
 from repro.netlist.core import Module
+from repro.obs.monitor import gc_collection_count
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with design_flow
     from repro.flow.design_flow import FlowOptions
@@ -295,6 +300,52 @@ class Stage:
 # runner
 
 
+class _GcPause:
+    """Pause Python's cyclic garbage collector while any flow runs.
+
+    A flow allocates hundreds of thousands of long-lived container
+    objects (the ``Net`` / ``Instance`` / ``Pin`` graphs of every
+    netlist the :class:`ArtifactCache` holds), and each full collection
+    rescans all of them: a fifth to a quarter of a flow's wall time,
+    for nothing, because the flow makes no reference cycles.  Netlists
+    are acyclic object graphs (a net names its driver and loads by
+    instance and pin name, not by reference back to the net), so all
+    of a flow's garbage is freed by reference counting alone.
+    ``tests/flow/test_gc_pause.py`` is the oracle: with the collector
+    off, a whole ``compare_styles`` (plain, traced, cold and warm disk
+    cache, threaded) leaves ``gc.collect() == 0``.
+
+    Flows may overlap in threads, so a depth count under a lock decides:
+    the first flow to enter records ``gc.isenabled()`` and disables the
+    collector; the last to leave re-enables it only if it was enabled
+    before (a caller who turned it off keeps it off).  The trade-off:
+    cyclic garbage that other threads make while any flow runs (the
+    serve daemon's HTTP threads, say) is collected only after the last
+    flow ends.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info: object) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+
+_GC_PAUSE = _GcPause()
+
+
 class Pipeline:
     """Execute a stage chain, recording a StageRecord per step."""
 
@@ -330,12 +381,19 @@ class Pipeline:
             design_digest=design_digest,
             module_digest=design_digest,
         )
-        with obs.span("flow.run", design=design.name, style=options.style,
-                      _parent=parent_span):
-            for stage in self.stages:
-                if not stage.enabled(options):
-                    continue
-                self._run_stage(stage, ctx)
+        with _GC_PAUSE, obs.span("flow.run", design=design.name,
+                                 style=options.style,
+                                 _parent=parent_span) as sp:
+            gc0 = gc_collection_count()
+            try:
+                for stage in self.stages:
+                    if not stage.enabled(options):
+                        continue
+                    self._run_stage(stage, ctx)
+            finally:
+                # 0 while the pause holds; a nonzero count means someone
+                # ran gc.collect() or re-enabled the collector mid-flow.
+                sp.set(gc_collections=gc_collection_count() - gc0)
         return ctx
 
     def _run_stage(self, stage: Stage, ctx: StageContext) -> None:

@@ -48,13 +48,11 @@ class TestCommands:
         assert "TABLE I" in capsys.readouterr().out
 
     def test_jobs_zero_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["run", "s1488", "--jobs", "0"])
+        assert main(["run", "s1488", "--jobs", "0"]) == 2
         assert "positive integer" in capsys.readouterr().err
 
     def test_jobs_negative_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["table1", "--designs", "s1488", "--jobs", "-2"])
+        assert main(["table1", "--designs", "s1488", "--jobs", "-2"]) == 2
         assert "positive integer" in capsys.readouterr().err
 
     def test_convert_roundtrip(self, tmp_path, capsys):

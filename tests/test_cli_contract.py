@@ -102,12 +102,34 @@ def test_unknown_design_exits_two(argv, capsys):
     ("5", "must exceed the 8-cycle warm-up"),
 ])
 def test_bad_cycles_exit_two_before_the_flow(cycles, message, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "s1488", "--cycles", cycles])
-    assert exc.value.code == 2
+    assert main(["run", "s1488", "--cycles", cycles]) == 2
     err = capsys.readouterr().err
-    assert f"argument --cycles: {message}" in err
-    assert "Traceback" not in err
+    assert err.startswith(f"error: argument --cycles: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "s1488", "--jobs", "0"],
+     "argument --jobs: must be a positive integer, got 0"),
+    (["run", "s1488", "--jobs", "two"],
+     "argument --jobs: invalid int value: 'two'"),
+    (["run", "s1488", "--sim-lanes", "0"], "argument --sim-lanes: must be"),
+    (["fig4", "--cycles", "x"], "argument --cycles: invalid int value"),
+    (["verify", "s1488", "--conflict-budget", "0"],
+     "argument --conflict-budget: must be"),
+    (["trace", "trace.json", "--top", "0"], "argument --top: must be"),
+    (["serve", "--workers", "0"], "argument --workers: must be"),
+    (["serve", "--queue-depth", "0"], "argument --queue-depth: must be"),
+    (["schedule", "s1488", "--probes", "0"], "argument --probes: must be"),
+], ids=["jobs-0", "jobs-text", "sim-lanes", "fig4-cycles",
+        "conflict-budget", "top", "workers", "queue-depth", "probes"])
+def test_bad_count_exits_two_in_one_line(argv, message, capsys):
+    """A count flag that is not a positive integer is one ``error:``
+    line and exit 2 -- not argparse's usage block."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
 
 
 _BAD_CONVERT_INPUTS = {

@@ -51,6 +51,28 @@ class TestFixHolds:
                           clock_uncertainty=120.0)
         assert again.buffers_added == 0
 
+    def test_traces_register_phases_once(self, mapped_shift, monkeypatch):
+        """The setup re-check after buffering reuses the register timings
+        traced before it: D-pin buffers change no register or clock."""
+        from repro.timing import sta
+
+        calls = []
+        real = sta.register_phases
+
+        def counting(module, clocks):
+            calls.append(module.name)
+            return real(module, clocks)
+
+        monkeypatch.setattr(sta, "register_phases", counting)
+        clocks = ClockSpec.single(1000.0)
+        report = fix_holds(mapped_shift, clocks, FDSOI28,
+                           clock_uncertainty=120.0)
+        assert report.buffers_added > 0
+        assert len(calls) == 1
+        fresh = analyze(mapped_shift, clocks)
+        assert report.setup_ok_after == all(
+            v.kind not in ("setup", "divergence") for v in fresh.violations)
+
     def test_behaviour_preserved(self, mapped_shift):
         original = mapped_shift.copy("orig")
         clocks = ClockSpec.single(1000.0)

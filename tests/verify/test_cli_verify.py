@@ -77,10 +77,8 @@ class TestKnobs:
                      "--conflict-budget", "1000"]) == 0
 
     def test_bad_conflict_budget_rejected(self, capsys):
-        import pytest
-
-        with pytest.raises(SystemExit):
-            main(["verify", "s1196", "--conflict-budget", "0"])
+        assert main(["verify", "s1196", "--conflict-budget", "0"]) == 2
+        assert "--conflict-budget" in capsys.readouterr().err
 
     def test_cache_dir_warm_rerun(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
