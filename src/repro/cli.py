@@ -60,6 +60,26 @@ def _positive_int(flag: str):
     return check
 
 
+def _non_negative(flag: str, kind: type = float, most: float = math.inf):
+    """An argument type for ``flag``: a finite ``kind`` from 0 to
+    ``most``."""
+    def check(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise _UsageError(
+                f"argument {flag}: invalid {kind.__name__} value: "
+                f"{text!r}") from None
+        if not (math.isfinite(value) and 0 <= value <= most):
+            bound = ("of at least 0" if most == math.inf
+                     else f"from 0 to {most}")
+            raise _UsageError(
+                f"argument {flag}: must be a finite number {bound}, "
+                f"got {text}")
+        return value
+    return check
+
+
 def _cycles(text: str) -> int:
     """A simulation budget: it must outlast the flow's activity warm-up."""
     value = _positive_int("--cycles")(text)
@@ -759,7 +779,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="baseline revision within --history "
                             "(prefix match; default: the distinct sha "
                             "recorded before the newest one)")
-        p.add_argument("--threshold", type=float, default=5.0, metavar="PCT",
+        p.add_argument("--threshold", type=_non_negative("--threshold"),
+                       default=5.0, metavar="PCT",
                        help="gate when a metric moves the wrong way by "
                             "more than PCT percent (default 5)")
         p.add_argument("--tolerances", default=None, metavar="FILE",
@@ -769,7 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="median over the last N entries per side "
                             "(default 3)")
-        p.add_argument("--min-abs-s", type=float, default=0.0, metavar="S",
+        p.add_argument("--min-abs-s", type=_non_negative("--min-abs-s"),
+                       default=0.0, metavar="S",
                        dest="min_abs_s",
                        help="ignore seconds-metric regressions smaller "
                             "than S seconds absolute (timer-noise floor)")
@@ -783,8 +805,9 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument("action", choices=("stats", "gc", "clear"))
     cache.add_argument("--dir", required=True, metavar="DIR",
                        help="cache directory (the --cache-dir of the runs)")
-    cache.add_argument("--max-age-hours", type=float, default=168.0,
-                       metavar="H",
+    cache.add_argument("--max-age-hours",
+                       type=_non_negative("--max-age-hours"),
+                       default=168.0, metavar="H",
                        help="gc: drop entries older than H hours "
                             "(default 168 = one week)")
     cache.add_argument("--dry-run", action="store_true",
@@ -800,7 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the conversion-as-a-service HTTP daemon (submit jobs "
              "with POST /jobs; see docs/serving.md)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8437)
+    serve.add_argument("--port", type=_non_negative("--port", int, 65535),
+                       default=8437)
     serve.add_argument("--workers", type=_positive_int("--workers"), default=2,
                        metavar="N",
                        help="concurrent jobs drained from the queue "
@@ -812,8 +836,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--job-dir", metavar="DIR", default=None,
                        help="write one JSONL trace per job into DIR "
                             "(inspect with 'repro trace DIR/<id>.jsonl')")
-    serve.add_argument("--drain-timeout", type=float, default=None,
-                       metavar="S",
+    serve.add_argument("--drain-timeout",
+                       type=_non_negative("--drain-timeout"),
+                       default=None, metavar="S",
                        help="on SIGTERM, wait at most S seconds for "
                             "in-flight jobs (default: unbounded)")
     _add_jobs_arg(serve)
@@ -831,7 +856,8 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--bench", help="ISCAS89 .bench input")
     source.add_argument("--blif", help="BLIF input")
     convert.add_argument("--out", required=True)
-    convert.add_argument("--period", type=float, default=1000.0)
+    convert.add_argument("--period", type=_non_negative("--period"),
+                         default=1000.0)
     convert.set_defaults(func=_cmd_convert)
 
     schedule = sub.add_parser(

@@ -104,7 +104,9 @@ class DesignResult:
     name: str
     style: str
     #: the final netlist, shared with the flow's cache and possibly with
-    #: other results: copy it before editing it.
+    #: other results: copy it before editing it.  The cache holds it
+    #: weakly, so this result keeps it alive; once every holder drops
+    #: it, a rerun of the flow against the same cache rebuilds it.
     module: Module
     clocks: ClockSpec
     stats: NetlistStats

@@ -17,7 +17,8 @@ hand-rolled per step:
   mutates the :class:`Module` it is handed (editing stages copy it
   first), so cached netlists are shared by reference and a stage that
   hands on the very object it received is known not to have changed
-  it: its output digest is its input digest;
+  it: its output digest is its input digest.  The memory tier holds
+  those netlists weakly, so it pins only the synthesized one;
 * **garbage collection** -- the cyclic collector is paused while any
   flow runs (:class:`_GcPause`): the flow makes no reference cycles,
   and full collections would rescan every cached netlist.
@@ -33,6 +34,7 @@ import gc
 import hashlib
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Mapping
 
@@ -122,11 +124,22 @@ class ArtifactCache:
     Keys are ``(stage name, library name, design digest, clocks key,
     input digest, options key)``; values are the runner's payloads
     ``(module or None, output digest, clocks, artifacts, summary,
-    run_s)``.  The module is held by reference, not copied, and
-    is None for stages that hand on their input netlist unchanged; every
+    run_s)``.  The module is shared by reference, not copied, and is
+    None for stages that hand on their input netlist unchanged; every
     consumer shares it read-only.  Lookups are single-flight: concurrent
     misses on one key run the producer exactly once, which is what lets
     a parallel ``compare_styles`` still synthesize only once.
+
+    The memory tier holds that handed-on module through a weak
+    reference; everything else in the payload is held strongly.  So the
+    cache keeps a netlist alive only through an artifact: the
+    synthesized netlist, which ``synth`` also stores as its
+    ``ff_reference``, the shared root of every style chain.  Every other
+    netlist lives while a flow or a caller's ``DesignResult`` holds it.
+    A lookup that finds its netlist freed counts in :meth:`released`
+    and is a miss: it goes on to the disk tier, or runs the producer
+    again.  Producers are deterministic, so a re-run gives the same
+    digests and results.
 
     With a ``disk`` tier (:class:`~repro.flow.diskcache.DiskCache`) the
     memory tier is layered over a persistent content-addressed store:
@@ -142,7 +155,26 @@ class ArtifactCache:
         self._hits: dict[str, int] = {}
         self._misses: dict[str, int] = {}
         self._disk_hits: dict[str, int] = {}
+        self._released: dict[str, int] = {}
         self.disk = disk
+
+    @staticmethod
+    def _hold(value: object) -> object:
+        """The memory-tier form of ``value``: a payload's module is held
+        weakly, anything else as it is."""
+        if isinstance(value, tuple) and value and isinstance(value[0], Module):
+            return (weakref.ref(value[0]), *value[1:])
+        return value
+
+    @staticmethod
+    def _restore(held: object) -> object | None:
+        """The value :meth:`_hold` stored, or None if its module has
+        been freed."""
+        if (isinstance(held, tuple) and held
+                and isinstance(held[0], weakref.ref)):
+            module = held[0]()
+            return None if module is None else (module, *held[1:])
+        return held
 
     def get_or_run(
         self, key: tuple, producer: Callable[[], object]
@@ -160,11 +192,17 @@ class ArtifactCache:
         with key_lock:
             lock_wait = time.monotonic() - wait_start
             if key in self._data:
-                obs.record("cache.lock_wait_s", lock_wait)
+                value = self._restore(self._data[key])
+                released = value is None
+                obs.add("cache.released", int(released))
+                if not released:
+                    obs.record("cache.lock_wait_s", lock_wait)
+                    with self._lock:
+                        self._hits[stage] = self._hits.get(stage, 0) + 1
+                    obs.add("cache.hits")
+                    return value, True, lock_wait
                 with self._lock:
-                    self._hits[stage] = self._hits.get(stage, 0) + 1
-                obs.add("cache.hits")
-                return self._data[key], True, lock_wait
+                    self._released[stage] = self._released.get(stage, 0) + 1
             if self.disk is not None:
                 value, hit, lock_wait = self._disk_get_or_run(
                     key, producer, lock_wait)
@@ -173,7 +211,7 @@ class ArtifactCache:
                 hit = False
             obs.record("cache.lock_wait_s", lock_wait)
             with self._lock:
-                self._data[key] = value
+                self._data[key] = self._hold(value)
                 if hit:
                     self._hits[stage] = self._hits.get(stage, 0) + 1
                     self._disk_hits[stage] = self._disk_hits.get(stage, 0) + 1
@@ -219,6 +257,12 @@ class ArtifactCache:
         src = self._disk_hits
         return src.get(stage, 0) if stage else sum(src.values())
 
+    def released(self, stage: str | None = None) -> int:
+        """Lookups that found their netlist freed (each then a disk hit
+        or a re-run, counted there too)."""
+        src = self._released
+        return src.get(stage, 0) if stage else sum(src.values())
+
     def runs(self, stage: str) -> int:
         """How many times ``stage``'s producer actually executed *in this
         process* (a disk hit produced elsewhere is not a run)."""
@@ -233,6 +277,7 @@ class ArtifactCache:
             "hits": dict(self._hits),
             "misses": dict(self._misses),
             "disk_hits": dict(self._disk_hits),
+            "released": dict(self._released),
         }
 
 

@@ -15,7 +15,9 @@ from repro.pnr.routing import RoutingEstimate, estimate_routing
 
 @dataclass
 class PhysicalDesign:
-    module: Module
+    """What P&R found out about the netlist it edited in place; the
+    netlist itself stays with the caller."""
+
     placement: Placement
     routing: RoutingEstimate
     cts: CtsResult
@@ -53,7 +55,6 @@ def place_and_route(
         routing = estimate_routing(module, placement, library)
     t3 = time.monotonic()
     return PhysicalDesign(
-        module=module,
         placement=placement,
         routing=routing,
         cts=cts,

@@ -42,7 +42,6 @@ from repro.timing.sta import TimingReport, analyze
 
 @dataclass
 class RetimeResult:
-    module: Module
     moves: int = 0
     latches_added: int = 0
     latches_removed: int = 0
@@ -166,7 +165,7 @@ def retime_forward(
     met -- the slack headroom this creates is what lets the latch design
     absorb PVT variation (the paper's robustness motivation).
     """
-    result = RetimeResult(module=module, movable_phase=movable_phase)
+    result = RetimeResult(movable_phase=movable_phase)
     result.latch_counts_before = phase_latch_counts(module)
     result.timing_before = analyze(module, clocks)
     report = result.timing_before

@@ -12,9 +12,11 @@ and a small pool of worker threads that drain it into a shared
   (:func:`job_key`: design + styles + resolved flow options).  While a
   job with the same key is queued or running, an identical submission
   returns *that* job instead of enqueueing a duplicate.  Finished jobs
-  are not deduped: a resubmission runs again, but every stage is served
-  from the artifact cache, so it completes near-instantly with zero
-  synthesis/simulation work (the warm-path guarantee CI asserts).
+  are not deduped: a resubmission runs again through the artifact
+  cache.  With a disk tier every stage is a hit, so it completes
+  near-instantly with zero synthesis/simulation work (the warm-path
+  guarantee CI asserts); a finished job keeps only its result rows, so
+  without one the netlist-editing stages run again.
 * **per-job trace scoping** — each job runs under its own
   :class:`~repro.obs.tracer.Tracer` installed thread-locally
   (:func:`repro.obs.scoped`), so spans of concurrent jobs never
@@ -132,8 +134,11 @@ class Job:
     started_at: float | None = None
     finished_at: float | None = None
     error: str | None = None
-    #: style -> DesignResult once the job is done.
-    results: dict[str, DesignResult] = field(default_factory=dict)
+    #: style -> result row once the job is done, and the 3p power
+    #: savings: the body of ``GET /jobs/<id>/result``.  The job keeps
+    #: these, not the DesignResults, so it pins no netlist.
+    rows: dict[str, dict] = field(default_factory=dict)
+    power_save: dict[str, dict] = field(default_factory=dict)
     trace_path: str | None = None
     cache_hits: int = 0
     cache_misses: int = 0
@@ -175,7 +180,17 @@ class Job:
         (register count, area, the power decomposition), so a client
         can diff daemon output against ``repro run`` bit for bit.
         """
-        rows = {
+        return {
+            "id": self.id,
+            "design": self.design,
+            "state": self.state,
+            "styles": self.rows,
+            **self.power_save,
+        }
+
+    def finish(self, results: dict[str, DesignResult]) -> None:
+        """Keep what :meth:`result_payload` serves of ``results``."""
+        self.rows = {
             style: {
                 "registers": result.stats.registers,
                 "area": result.area,
@@ -189,21 +204,14 @@ class Job:
                     for record in result.stages
                 ],
             }
-            for style, result in self.results.items()
+            for style, result in results.items()
         }
-        payload: dict[str, object] = {
-            "id": self.id,
-            "design": self.design,
-            "state": self.state,
-            "styles": rows,
-        }
-        if "3p" in self.results:
-            three = self.results["3p"].power
-            for base in ("ff", "ms"):
-                if base in self.results:
-                    payload[f"power_save_{base}"] = savings(
-                        self.results[base].power, three)
-        return payload
+        if "3p" in results:
+            three = results["3p"].power
+            self.power_save = {
+                f"power_save_{base}": savings(results[base].power, three)
+                for base in ("ff", "ms") if base in results
+            }
 
 
 class JobManager:
@@ -276,6 +284,9 @@ class JobManager:
                   "request handling latency by endpoint")
         m.declare("jobs", "counter", "job intake and completion outcomes "
                   f"({'/'.join(JOB_OUTCOMES)})")
+        m.declare("cache.released", "counter",
+                  "artifact-cache lookups that found their netlist freed "
+                  "(each then a disk hit or a re-run)")
         observe_stages(m)
 
     def identity(self) -> dict:
@@ -390,8 +401,10 @@ class JobManager:
             finally:
                 if monitor is not None:
                     monitor.stop()
-            job.results = dict(zip(job.styles, results))
+            job.finish(dict(zip(job.styles, results)))
             observe_stages(self.metrics, tracer.spans)
+            self.metrics.add("cache.released",
+                             tracer.metrics.value("cache.released"))
             for result in results:
                 for record in result.stages:
                     if record.cache_hit:

@@ -21,7 +21,7 @@ class TestLatchConservation:
     def test_consistent_result_clean(self):
         m = _two_latch_module()
         counts = phase_latch_counts(m)
-        res = RetimeResult(module=m, movable_phase="p2",
+        res = RetimeResult(movable_phase="p2",
                            latch_counts_before=counts,
                            latch_counts_after=counts)
         result = run_lint(m, stage="retime", extra={"retime": res})
@@ -30,7 +30,7 @@ class TestLatchConservation:
     def test_dropped_latch_flagged(self):
         m = _two_latch_module()
         counts = phase_latch_counts(m)  # {'p1': 1, 'p2': 1}
-        res = RetimeResult(module=m, movable_phase="p2",
+        res = RetimeResult(movable_phase="p2",
                            latch_counts_before=counts,
                            latch_counts_after=counts)
         # sabotage: a pass silently dropped the p2 latch after reporting
@@ -44,7 +44,7 @@ class TestLatchConservation:
 
     def test_unreported_delta_flagged(self):
         m = _two_latch_module()
-        res = RetimeResult(module=m, movable_phase="p2",
+        res = RetimeResult(movable_phase="p2",
                            latch_counts_before={"p1": 1, "p2": 2},
                            latch_counts_after=phase_latch_counts(m),
                            latches_added=0, latches_removed=0)
@@ -54,7 +54,7 @@ class TestLatchConservation:
 
     def test_nonmovable_phase_change_flagged(self):
         m = _two_latch_module()
-        res = RetimeResult(module=m, movable_phase="p2",
+        res = RetimeResult(movable_phase="p2",
                            latch_counts_before={"p1": 2, "p2": 0},
                            latch_counts_after=phase_latch_counts(m),
                            latches_added=1, latches_removed=1)

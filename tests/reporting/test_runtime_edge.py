@@ -22,7 +22,7 @@ def _record(stage, seconds, cache_hit=False):
 
 def _physical(place, cts, route):
     """P&R result carrying only its step timers (all the report reads)."""
-    return PhysicalDesign(module=None, placement=None, routing=None, cts=None,
+    return PhysicalDesign(placement=None, routing=None, cts=None,
                           runtime={"place": place, "cts": cts, "route": route})
 
 

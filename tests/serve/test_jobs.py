@@ -174,7 +174,7 @@ class TestEndToEnd:
                                     overrides={"sim_cycles": CYCLES})
             assert manager.drain()  # waits for the job, blocks intake
             assert job.state == DONE
-            assert set(job.results) == {"ff", "ms", "3p"}
+            assert set(job.rows) == {"ff", "ms", "3p"}
 
             from repro.circuits import build
             from repro.flow import compare_styles
@@ -182,11 +182,11 @@ class TestEndToEnd:
                 build("s1488"), resolve_options(
                     "s1488", {"sim_cycles": CYCLES}))
             for style in ("ff", "ms", "3p"):
-                ours = job.results[style]
+                ours = job.rows[style]
                 ref = batch.result(style)
-                assert ours.power.as_row() == ref.power.as_row()
-                assert ours.area == ref.area
-                assert ours.registers == ref.registers
+                assert ours["power"] == ref.power.as_row()
+                assert ours["area"] == ref.area
+                assert ours["registers"] == ref.registers
             manager.close()
 
     def test_per_job_trace_scoping_keeps_jobs_apart(self, tmp_path):
@@ -211,3 +211,44 @@ class TestEndToEnd:
             assert roots[0].attrs["job_id"] == job.id
             # a full cold->whatever run nests the compare batch
             assert any(s.name == "flow.compare" for s in spans)
+
+    def test_finished_jobs_pin_no_netlist(self):
+        """A finished job keeps its result rows, not its DesignResults:
+        nothing the manager holds reaches a netlist, and the daemon's
+        ``cache.released`` counter sees the freed ones."""
+        import gc
+        import types
+
+        from repro.netlist.core import Module
+        from repro.obs.promexpo import render
+
+        def modules_reachable(root) -> int:
+            seen, stack, found = set(), [root], 0
+            skip = (type, types.ModuleType, types.FunctionType)
+            while stack:
+                obj = stack.pop()
+                if id(obj) in seen or isinstance(obj, skip):
+                    continue
+                seen.add(id(obj))
+                if isinstance(obj, Module):
+                    found += 1
+                else:
+                    stack.extend(gc.get_referents(obj))
+            return found
+
+        # one worker: each job starts after the last one let go of its
+        # results, so every job after the first finds netlists freed
+        with JobScheduler(jobs=2, executor="thread") as scheduler:
+            manager = JobManager(scheduler, workers=1, queue_depth=8)
+            jobs = [manager.submit("s1488", overrides={"sim_cycles": CYCLES,
+                                                       "seed": seed})[0]
+                    for seed in range(1, 6)]
+            assert manager.drain()
+            manager.close()
+            assert all(job.state == DONE for job in jobs)
+            assert all(set(job.rows) == {"ff", "ms", "3p"} for job in jobs)
+            assert modules_reachable(manager._jobs) == 0
+            released = manager.metrics.value("cache.released")
+            assert released == scheduler.cache.released() > 0
+            assert f"repro_cache_released_total {int(released)}" in \
+                render(manager.metrics)

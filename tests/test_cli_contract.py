@@ -132,6 +132,33 @@ def test_bad_count_exits_two_in_one_line(argv, message, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["serve", "--port", "abc"], "argument --port: invalid int value: 'abc'"),
+    (["serve", "--port", "-1"],
+     "argument --port: must be a finite number from 0 to 65535, got -1"),
+    (["serve", "--port", "70000"], "argument --port: must be"),
+    (["serve", "--drain-timeout", "nan"], "argument --drain-timeout: must"),
+    (["convert", "--bench", "a.bench", "--out", "a.v", "--period", "inf"],
+     "argument --period: must"),
+    (["convert", "--bench", "a.bench", "--out", "a.v", "--period", "x"],
+     "argument --period: invalid float value: 'x'"),
+    (["cache", "stats", "--dir", "d", "--max-age-hours", "-1"],
+     "argument --max-age-hours: must"),
+    (["bench", "check", "--threshold", "abc"],
+     "argument --threshold: invalid float value: 'abc'"),
+    (["bench", "diff", "--min-abs-s", "inf"], "argument --min-abs-s: must"),
+], ids=["port-text", "port-negative", "port-too-large", "drain-timeout-nan",
+        "period-inf", "period-text", "max-age-negative", "threshold-text",
+        "min-abs-s"])
+def test_bad_number_exits_two_in_one_line(argv, message, capsys):
+    """A plain number flag that does not parse, or is non-finite,
+    negative or out of range, is one ``error:`` line and exit 2 too."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
 _BAD_CONVERT_INPUTS = {
     "missing-file": ("absent.bench", None, "No such file"),
     "bench-parse": ("bad.bench", "INPUT(a)\nOUTPUT(z)\nz = FOO(a\n",

@@ -85,11 +85,18 @@ def test_headline_power_ordering(implemented):
 
 
 def test_runtime_recorded(implemented):
-    from repro.reporting.runtime import flow_seconds
+    from repro.reporting.runtime import counts_toward_flow, flow_seconds
 
     _, _, _, results = implemented
     p3 = results["3p"]
     for step in ("synth", "ilp", "convert", "cg", "pnr", "sim"):
         assert p3.stage_record(step) is not None, step
     assert set(p3.physical.runtime) == {"place", "cts", "route"}
-    assert flow_seconds(p3) > flow_seconds(results["ff"])
+    counted = {}
+    for style in ("ff", "3p"):
+        records = [r for r in results[style].stages
+                   if counts_toward_flow(r.stage)]
+        assert flow_seconds(results[style]) == sum(r.run_s for r in records)
+        counted[style] = {r.stage for r in records}
+    assert counted["ff"] == {"synth", "hold_fix", "pnr", "sta", "sim"}
+    assert counted["3p"] > counted["ff"] | {"ilp", "convert", "cg"}
