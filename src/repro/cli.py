@@ -275,7 +275,7 @@ def _run_one(args: argparse.Namespace) -> int:
     comparison = compare_styles(module, options, jobs=args.jobs,
                                 executor=args.executor,
                                 cache_dir=args.cache_dir)
-    _progress(_cache_line({args.design: comparison}))
+    _report_run({args.design: comparison})
     row = comparison.table_row()
     print(f"design {args.design} ({bench.suite}) @ {bench.period:.0f} ps")
     print(f"  registers: {row['regs']}  "
@@ -294,22 +294,30 @@ def _run_one(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cache_line(results) -> str:
-    """Stage cache totals over a suite's results ("N hits, M misses").
+def _report_run(results) -> None:
+    """Stage cache totals over a suite's results ("N hits, M misses"),
+    then one ``warning:`` line naming every (design, style) row whose
+    post-P&R timing fails setup, with its WNS.  Both go to stderr, so
+    the tables on stdout stay as they are.
 
-    Counted from the per-stage :class:`StageRecord` telemetry, which
-    survives the process-executor boundary; a warm --cache-dir rerun
-    therefore reports ``0 misses`` (what the CI smoke asserts).
+    The totals are counted from the per-stage :class:`StageRecord`
+    telemetry, which survives the process-executor boundary; a warm
+    --cache-dir rerun therefore reports ``0 misses`` (what the CI smoke
+    asserts).
     """
     hits = misses = 0
-    for row in results.values():
-        for result in (row.ff, row.ms, row.three_phase):
-            for record in result.stages:
-                if record.cache_hit:
-                    hits += 1
-                else:
-                    misses += 1
-    return f"stage cache: {hits} hits, {misses} misses"
+    failing = []
+    for name, row in results.items():
+        for style in ("ff", "ms", "3p"):
+            result = row.result(style)
+            hits += sum(record.cache_hit for record in result.stages)
+            misses += sum(not record.cache_hit for record in result.stages)
+            if not result.timing.setup_ok:
+                failing.append(f"{name}/{style} WNS "
+                               f"{result.timing.worst_setup_slack:.0f} ps")
+    _progress(f"stage cache: {hits} hits, {misses} misses")
+    if failing:
+        _progress("warning: setup fails after P&R: " + ", ".join(failing))
 
 
 def _run_selected(args: argparse.Namespace):
@@ -325,7 +333,7 @@ def _run_selected(args: argparse.Namespace):
         executor=args.executor,
         cache_dir=args.cache_dir,
     )
-    _progress(_cache_line(results))
+    _report_run(results)
     return results
 
 
@@ -641,8 +649,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
                         clock_gating_style="gated").module
     result = convert_to_three_phase(mapped, FDSOI28, period=bench.period)
     default_min = minimum_period(
-        result.module, ClockSpec.default_three_phase, 50, 4 * bench.period,
-        probes=args.probes)
+        result.module, ClockSpec.default_three_phase, 50, 4 * bench.period)
     opt = optimize_schedule(result.module, result.clocks,
                             hi=4 * bench.period)
     print(f"design {args.design} (paper period {bench.period:.0f} ps)")
@@ -864,10 +871,6 @@ def build_parser() -> argparse.ArgumentParser:
         "schedule",
         help="SMO-optimal phase schedule for a converted benchmark")
     schedule.add_argument("design", type=_design)
-    schedule.add_argument(
-        "--probes", type=_positive_int("--probes"), default=1, metavar="K",
-        help="candidate periods evaluated per minimum-period search step "
-             "(1 = bisection; K > 1 shrinks the bracket by K+1 per step)")
     schedule.set_defaults(func=_cmd_schedule)
 
     report = sub.add_parser(

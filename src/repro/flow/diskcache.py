@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 #: bump when the key schema or payload layout changes incompatibly;
 #: entries written under another version hash to different paths and
 #: simply age out via ``gc``.
-DISK_FORMAT = "repro-diskcache-v6"
+DISK_FORMAT = "repro-diskcache-v7"
 
 _MARKER = "CACHE_FORMAT"
 

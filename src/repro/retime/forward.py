@@ -26,7 +26,7 @@ from cycle 0 -- checked by the equivalence property tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.convert.clocks import ClockSpec
@@ -142,10 +142,6 @@ def _move_forward(
     return 1, removed, new_latch.name
 
 
-def _setup_violated(report: TimingReport) -> bool:
-    return any(v.kind in ("setup", "divergence") for v in report.violations)
-
-
 def retime_forward(
     module: Module,
     clocks: ClockSpec,
@@ -173,7 +169,7 @@ def retime_forward(
     # Batched greedy: per STA round, push every movable latch that is the
     # launch side of a violating edge one gate forward, then re-analyze.
     round_index = 0
-    while _setup_violated(report) and result.moves < max_moves:
+    while not report.setup_ok and result.moves < max_moves:
         round_index += 1
         with obs.span("retime.round", round=round_index,
                       phase=movable_phase) as sp:
@@ -189,8 +185,8 @@ def retime_forward(
                                     movable_phase, result):
                     moved_any = True
             if not moved_any:
-                # Divergence or violations without movable sources: fall
-                # back to the pressure-ranked single move.
+                # No violating edge launches from a latch that can move
+                # forward: fall back to the pressure-ranked single move.
                 if not _timing_move(module, clocks, library, movable_phase,
                                     result):
                     sp.set(moves=0, stuck=True)
@@ -203,7 +199,7 @@ def retime_forward(
     # A pass that accepted no move left the module as it was (rejected
     # trials are restored from their checkpoint), so ``report`` still
     # describes it and needs no re-analysis.
-    if balance and not _setup_violated(report):
+    if balance and report.setup_ok:
         with obs.span("retime.balance", phase=movable_phase) as sp:
             moves_before = result.moves
             _balance_moves(module, clocks, library, movable_phase, result)
@@ -211,7 +207,7 @@ def retime_forward(
         if result.moves > moves_before:
             report = analyze(module, clocks)
 
-    if area_pass and not _setup_violated(report):
+    if area_pass and report.setup_ok:
         with obs.span("retime.area_pass", phase=movable_phase) as sp:
             moves_before = result.moves
             _area_moves(module, clocks, library, movable_phase, result)
@@ -272,7 +268,7 @@ def _balance_moves(
             added, removed, _ = _move_forward(
                 module, gate, drivers, movable_phase, library
             )
-            if _setup_violated(analyze(module, clocks)):
+            if not analyze(module, clocks).setup_ok:
                 _restore(module, checkpoint)
                 continue
             result.moves += 1
@@ -404,7 +400,7 @@ def _area_moves(
             added, removed, _ = _move_forward(
                 module, gate, drivers, movable_phase, library
             )
-            if _setup_violated(analyze(module, clocks)):
+            if not analyze(module, clocks).setup_ok:
                 # Roll back by restoring the checkpoint's state.
                 _restore(module, checkpoint)
                 continue

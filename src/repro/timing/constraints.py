@@ -70,13 +70,11 @@ def check_conversion_constraints(
 
     # C3: setup met (borrowing allowed) at the same period.
     timing = analyze(converted, clocks, graph=graph, wire_caps=wire_caps)
-    c3_ok = all(v.kind != "setup" and v.kind != "divergence"
-                for v in timing.violations)
 
     return ConstraintReport(
         c1_ok=not missing,
         c2_ok=not overlaps,
-        c3_ok=c3_ok,
+        c3_ok=timing.setup_ok,
         c1_missing=missing,
         c2_overlaps=overlaps,
         c3_timing=timing,

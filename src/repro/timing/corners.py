@@ -25,10 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from repro.convert.clocks import ClockSpec
 from repro.netlist.core import Module
 from repro.timing.graph import SeqEdge, TimingGraph, extract_timing_graph
-from repro.timing.sta import TimingReport, _probe_search, analyze
+from repro.timing.sta import analyze, minimum_period
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,6 @@ def derate_graph(graph: TimingGraph, corner: Corner) -> TimingGraph:
 class CornerResult:
     corner: Corner
     min_period: float
-    report: TimingReport | None = None
 
 
 @dataclass
@@ -114,32 +112,6 @@ class VariationStudy:
         return f"{self.design}: {rows} (margin {self.margin_percent:.1f}%)"
 
 
-def minimum_period_at(
-    module: Module,
-    clocks_builder,
-    graph: TimingGraph,
-    lo: float,
-    hi: float,
-    tolerance: float = 2.0,
-    probes: int = 1,
-) -> float:
-    """Minimum setup-feasible period over a fixed delay graph.
-
-    ``probes=1`` is classic bisection; ``k > 1`` evaluates k evenly
-    spaced candidates per refinement step (see
-    :func:`repro.timing.sta.minimum_period`).
-    """
-
-    def setup_ok(period: float) -> bool:
-        report = analyze(module, clocks_builder(period), graph=graph)
-        return all(v.kind not in ("setup", "divergence")
-                   for v in report.violations)
-
-    if not setup_ok(hi):
-        raise ValueError(f"setup fails even at period {hi}")
-    return _probe_search(setup_ok, lo, hi, tolerance, probes)
-
-
 def sigma_tolerance(
     module: Module,
     clocks,
@@ -162,8 +134,7 @@ def sigma_tolerance(
         for seed in range(1, samples + 1):
             corner = Corner("probe", 1.0, sigma, seed=seed)
             report = analyze(module, clocks, graph=derate_graph(base, corner))
-            if any(v.kind in ("setup", "divergence")
-                   for v in report.violations):
+            if not report.setup_ok:
                 return False
         return True
 
@@ -187,19 +158,17 @@ def variation_study(
     corners: tuple[Corner, ...] = STANDARD_CORNERS,
     lo: float = 50.0,
     hi: float = 20_000.0,
-    probes: int = 1,
 ) -> VariationStudy:
-    """Minimum period of ``module`` at each corner.
+    """Minimum period of ``module`` at each corner, to within 2 ps.
 
     ``clocks_builder(period)`` produces the style's clock spec (e.g.
-    ``ClockSpec.single`` or ``ClockSpec.default_three_phase``);
-    ``probes`` is forwarded to :func:`minimum_period_at`.
+    ``ClockSpec.single`` or ``ClockSpec.default_three_phase``).
     """
     base = extract_timing_graph(module)
     study = VariationStudy(design=module.name)
     for corner in corners:
         graph = derate_graph(base, corner)
-        period = minimum_period_at(module, clocks_builder, graph, lo, hi,
-                                   probes=probes)
+        period = minimum_period(module, clocks_builder, lo, hi,
+                                tolerance=2.0, graph=graph)
         study.results.append(CornerResult(corner, period))
     return study

@@ -12,8 +12,9 @@ chunk of the combinational-power saving comes from.
 
 The pass computes per-edge hold slack (min path delay + phase gap -
 hold - uncertainty-at-zero-gap) and pads the capture register's D input
-with buffer chains until the worst violating edge is clean, then verifies
-setup still holds.
+with buffer chains until the worst violating edge is clean.  It does not
+re-time setup: the flow's verdict is the post-P&R analysis, which times
+this same netlist with wire loads added.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.library.cell import Library
 from repro.netlist.core import Module
 from repro.timing.graph import PI_SOURCE, PO_SINK, extract_timing_graph
 from repro.timing.smo import effective_hold_gap
-from repro.timing.sta import _register_timings, analyze
+from repro.timing.sta import _register_timings
 
 
 @dataclass
@@ -37,7 +38,6 @@ class HoldFixReport:
     area_added: float = 0.0
     #: capture register -> number of buffers inserted in front of D
     per_register: dict[str, int] = field(default_factory=dict)
-    setup_ok_after: bool = True
 
 
 def fix_holds(
@@ -106,12 +106,4 @@ def fix_holds(
             report.buffers_added += 1
             report.area_added += buffer_cell.area
         report.per_register[reg_name] = count
-
-    if report.buffers_added:
-        # D-pin buffers change no register, clock net or phase, so the
-        # register timings traced above still hold.
-        after = analyze(module, clocks, timings=timings)
-        report.setup_ok_after = all(
-            v.kind not in ("setup", "divergence") for v in after.violations
-        )
     return report

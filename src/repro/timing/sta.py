@@ -9,7 +9,7 @@ One analysis covers all three design styles:
   Szymanski-style fixed-point iteration over the sequential timing graph.
 
 Coordinates: every quantity for register ``i`` is measured relative to its
-own capture edge.  ``departure[i]`` in ``[-width_i, borrow...]`` is when
+own capture edge.  ``departure[i]`` in ``[-width_i, -setup_i]`` is when
 the register's token leaves; an edge ``i -> j`` transfers
 ``departure_i + delay - E_ij`` into j's frame, where ``E_ij`` is the SMO
 forward phase shift.
@@ -38,7 +38,7 @@ from repro.timing.smo import (
 
 @dataclass(frozen=True)
 class TimingViolation:
-    kind: str  # "setup" | "hold" | "divergence"
+    kind: str  # "setup" | "hold"
     src: str
     dst: str
     slack: float
@@ -61,6 +61,12 @@ class TimingReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def setup_ok(self) -> bool:
+        """The setup verdict: no edge arrives after its setup time.  Hold
+        is period-independent, so period searches judge setup alone."""
+        return all(v.kind != "setup" for v in self.violations)
 
     def __str__(self) -> str:
         status = "MET" if self.ok else f"{len(self.violations)} VIOLATIONS"
@@ -97,7 +103,6 @@ def analyze(
     clocks: ClockSpec,
     graph: TimingGraph | None = None,
     wire_caps: dict[str, float] | None = None,
-    max_iterations: int = 50,
     timings: dict[str, RegisterTiming] | None = None,
 ) -> TimingReport:
     """Setup/hold analysis of ``module`` under ``clocks``.
@@ -108,12 +113,11 @@ def analyze(
     pseudo-registers added below.
     """
     with obs.span("sta.analyze", period=clocks.period) as sp:
-        report = _analyze(
-            module, clocks, graph=graph, wire_caps=wire_caps,
-            max_iterations=max_iterations, timings=timings,
-        )
+        report = _analyze(module, clocks, graph, wire_caps, timings)
         sp.set(iterations=report.iterations, ok=report.ok,
-               violations=len(report.violations))
+               violations=len(report.violations),
+               worst_setup_slack=report.worst_setup_slack)
+    obs.record("sta.sweeps", report.iterations)
     return report
 
 
@@ -149,14 +153,77 @@ def _sweep_order(
     return order
 
 
+#: sweeps between two searches for a latch cycle still climbing
+_SKIP_EVERY = 16
+
+
+def _skip_turns(order: list[str],
+                incoming: dict[str, list[tuple[str, float]]],
+                departures: dict[str, float],
+                timings: dict[str, RegisterTiming]) -> None:
+    """Raise each climbing latch cycle by the turns it would still climb.
+
+    A cycle of critical fanins whose constants sum to ``gain > 0`` rises
+    by ``gain`` per turn until a member reaches its clamp: unboundedly
+    many sweeps as ``gain`` goes to 0 near a loop-limited period.  The
+    least fixed point lies at or above one turn's ``reach`` from a
+    member's departure plus ``turns * gain``, as long as that keeps every
+    member at or below its ``-setup``.  Raising the members there skips
+    sweeps and changes no fixed point.
+    """
+    critical = {name: max(incoming[name],
+                          key=lambda fanin: departures[fanin[0]] + fanin[1])
+                for name in order}
+    seen: set[str] = set()
+    for name in order:
+        path = []  # follows critical fanins, against the data
+        while name in critical and name not in seen:
+            seen.add(name)
+            path.append(name)
+            name = critical[name][0]
+        if name not in path:
+            continue
+        cycle = path[path.index(name):]
+        gain = sum(critical[member][1] for member in cycle)
+        if gain <= 1e-9:
+            continue
+        value = departures[name]
+        reach = {name: value}
+        for member in reversed(cycle[1:]):  # with the data, from name
+            value += critical[member][1]
+            reach[member] = value
+        turns = min((-timings[member].setup - value) // gain
+                    for member, value in reach.items())
+        if turns < 1:
+            continue
+        for member, value in reach.items():
+            departures[member] = max(departures[member], min(
+                -timings[member].setup, value + turns * gain))
+
+
 def _analyze(
     module: Module,
     clocks: ClockSpec,
     graph: TimingGraph | None,
     wire_caps: dict[str, float] | None,
-    max_iterations: int,
     timings: dict[str, RegisterTiming] | None,
 ) -> TimingReport:
+    """Setup by a fixed point on departures, then per-edge slacks.
+
+    A departure is the arrival clamped to the register's window,
+    ``max(-width, min(arrival, -setup))``: a later arrival is a setup
+    violation on its edge and does not launch late downstream, so an FF
+    always departs at its edge.  Departures start at ``-width`` and only
+    rise, and the update is monotone, so every iterate lies below the
+    least fixed point; they are bounded by ``-setup``, so the iteration
+    converges (:func:`_skip_turns` keeps the sweeps few when a latch
+    loop is barely over budget).  A design that meets setup has every
+    arrival at or below ``-setup`` at its fixed point, hence at every
+    iterate: it never reaches the clamp, and reports what the unclamped
+    analysis reports (bar a slack inside the ``1e-9`` tolerance, which
+    may move by less than that).  Only failing designs' numbers depend
+    on the clamp.
+    """
     period = clocks.period
     if graph is None:
         graph = extract_timing_graph(module, wire_caps)
@@ -197,27 +264,22 @@ def _analyze(
     order = [name for name in _sweep_order(timings, graph)
              if name in incoming]
 
-    converged = False
-    for iteration in range(1, max_iterations + 1):
-        report.iterations = iteration
+    changed = True
+    while changed:
+        report.iterations += 1
+        if report.iterations % _SKIP_EVERY == 0:
+            _skip_turns(order, incoming, departures, timings)
         changed = False
         for name in order:
             arrival = max(
                 departures[src] + constant
                 for src, constant in incoming[name]
             )
-            new_departure = max(-timings[name].width, arrival)
+            timing = timings[name]
+            new_departure = max(-timing.width, min(arrival, -timing.setup))
             if new_departure > departures[name] + 1e-9:
                 departures[name] = new_departure
                 changed = True
-        if not changed:
-            converged = True
-            break
-
-    if not converged:
-        report.violations.append(
-            TimingViolation("divergence", "-", "-", float("-inf"))
-        )
 
     report.departures = dict(departures)
 
@@ -254,63 +316,39 @@ def minimum_period(
     lo: float,
     hi: float,
     tolerance: float = 1.0,
-    probes: int = 1,
+    graph: TimingGraph | None = None,
 ) -> float:
-    """Search the smallest period where setup is met.
+    """Bisect for the smallest period where setup is met.
 
     ``clocks_builder(period)`` returns the ClockSpec at that period (e.g.
     ``ClockSpec.single`` or ``ClockSpec.default_three_phase``); hold
     violations are ignored here since they are period-independent.
 
-    The timing graph and the register -> phase map are extracted once and
-    shared across all probes; only the cheap per-register edge arithmetic
-    is redone at each candidate period.
-
-    ``probes`` is the number of candidate periods evaluated per
-    refinement step: 1 is classic bisection; ``k > 1`` is a k-ary search
-    that shrinks the bracket by ``k + 1`` per step (the batched-probing
-    analogue of the batch simulation engine -- useful when candidate
-    evaluations are farmed out or when fewer, wider steps are wanted).
-    Setup feasibility is monotone in the period, so every ``probes``
-    value converges to the same answer within ``tolerance``.
+    ``graph`` is the delay graph to time; by default it is extracted from
+    ``module`` (:mod:`repro.timing.corners` passes derated copies).  It
+    and the register -> phase map are built once and shared across all
+    candidate periods; only the cheap per-register edge arithmetic is
+    redone at each.  Setup feasibility is monotone in the period, so
+    halving ``(lo, hi]`` (``hi`` must pass) ends within ``tolerance``
+    above the answer.
     """
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    graph = extract_timing_graph(module)
-    phases: dict[str, str] | None = None
+    if graph is None:
+        graph = extract_timing_graph(module)
+    phases = register_phases(module, clocks_builder(hi))
 
     def setup_ok(period: float) -> bool:
-        nonlocal phases
         clocks = clocks_builder(period)
-        if phases is None:
-            phases = register_phases(module, clocks)
-        rpt = analyze(
+        return analyze(
             module, clocks, graph=graph,
             timings=_register_timings(module, clocks, phases=phases),
-        )
-        return all(v.kind != "setup" and v.kind != "divergence"
-                   for v in rpt.violations)
+        ).setup_ok
 
     if not setup_ok(hi):
         raise ValueError(f"setup fails even at period {hi}")
-    return _probe_search(setup_ok, lo, hi, tolerance, probes)
-
-
-def _probe_search(setup_ok, lo: float, hi: float, tolerance: float,
-                  probes: int) -> float:
-    """Shrink ``(lo, hi]`` (hi known-feasible) to ``tolerance`` by testing
-    ``probes`` evenly spaced candidates per step, ascending: feasibility
-    is monotone, so the first passing candidate bounds the answer above
-    and every tested candidate below it bounds it below."""
     while hi - lo > tolerance:
-        step = (hi - lo) / (probes + 1)
-        new_lo = lo
-        new_hi = hi
-        for i in range(1, probes + 1):
-            candidate = lo + step * i
-            if setup_ok(candidate):
-                new_hi = candidate
-                break
-            new_lo = candidate
-        lo, hi = new_lo, new_hi
+        mid = lo + (hi - lo) / 2
+        if setup_ok(mid):
+            hi = mid
+        else:
+            lo = mid
     return hi

@@ -317,10 +317,16 @@ def _v5_payload(key, value):
     return value
 
 
+def _v6_payload(key, value):
+    """v6: today's tuple; its hold artifact also carried the setup
+    re-check's ``setup_ok_after`` flag."""
+    return value
+
+
 @pytest.mark.parametrize("version,payload", [
     ("v1", _v1_payload), ("v2", _v2_payload), ("v3", _v3_payload),
-    ("v4", _v4_payload), ("v5", _v5_payload)],
-    ids=["v1", "v2", "v3", "v4", "v5"])
+    ("v4", _v4_payload), ("v5", _v5_payload), ("v6", _v6_payload)],
+    ids=["v1", "v2", "v3", "v4", "v5", "v6"])
 def test_previous_format_directory_is_never_read(tmp_path, monkeypatch,
                                                  version, payload):
     """Entries written by an older format (its payload layout, under its

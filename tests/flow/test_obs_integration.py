@@ -92,6 +92,15 @@ class TestTracedRunFlow:
         assert layers["sta.calls"] == analyses
         assert graphs > analyses  # hold-fix extracts outside analyze
 
+    def test_sta_spans_carry_worst_slack_and_sweeps(self, traced):
+        tracer, result = traced
+        analyses = [s for s in tracer.spans if s.name == "sta.analyze"]
+        assert analyses[-1].attrs["worst_setup_slack"] == (
+            result.timing.worst_setup_slack)
+        sweeps = tracer.metrics.snapshot()["histograms"]["sta.sweeps"]
+        assert sweeps["count"] == len(analyses)
+        assert sweeps["max"] == max(s.attrs["iterations"] for s in analyses)
+
     def test_metrics_collected(self, traced):
         tracer, _ = traced
         assert tracer.metrics.value("sim.events") > 0

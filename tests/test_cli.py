@@ -1,6 +1,7 @@
 """Command-line interface tests."""
 
 import json
+import re
 
 import pytest
 
@@ -39,9 +40,25 @@ class TestCommands:
 
     def test_run_small_design(self, capsys):
         assert main(["run", "s1488", "--cycles", "25"]) == 0
-        out = capsys.readouterr().out
-        assert "registers" in out
-        assert "3-P total power saving" in out
+        captured = capsys.readouterr()
+        assert "registers" in captured.out
+        assert "3-P total power saving" in captured.out
+        assert "warning:" not in captured.err  # s1488 meets setup
+
+    def test_setup_failures_named_in_one_warning(self, capsys):
+        """s13207 fails setup after P&R in every style at its registry
+        period: one stderr line names each row with its WNS, and stdout
+        keeps all three power rows."""
+        assert main(["run", "s13207", "--cycles", "16"]) == 0
+        captured = capsys.readouterr()
+        warnings = [line for line in captured.err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert re.fullmatch(
+            r"warning: setup fails after P&R: s13207/ff WNS -\d+ ps, "
+            r"s13207/ms WNS -\d+ ps, s13207/3p WNS -\d+ ps", warnings[0])
+        for style in ("ff", "ms", "3p"):
+            assert f"  {style:3} power:" in captured.out
 
     def test_table1_one_design(self, capsys):
         assert main(["table1", "--designs", "s1488", "--cycles", "20"]) == 0

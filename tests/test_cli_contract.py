@@ -120,9 +120,9 @@ def test_bad_cycles_exit_two_before_the_flow(cycles, message, capsys):
     (["trace", "trace.json", "--top", "0"], "argument --top: must be"),
     (["serve", "--workers", "0"], "argument --workers: must be"),
     (["serve", "--queue-depth", "0"], "argument --queue-depth: must be"),
-    (["schedule", "s1488", "--probes", "0"], "argument --probes: must be"),
+    (["bench", "check", "--runs", "0"], "argument --runs: must be"),
 ], ids=["jobs-0", "jobs-text", "sim-lanes", "fig4-cycles",
-        "conflict-budget", "top", "workers", "queue-depth", "probes"])
+        "conflict-budget", "top", "workers", "queue-depth", "runs"])
 def test_bad_count_exits_two_in_one_line(argv, message, capsys):
     """A count flag that is not a positive integer is one ``error:``
     line and exit 2 -- not argparse's usage block."""

@@ -71,8 +71,6 @@ def test_timing_met_everywhere(implemented):
     name, _, _, results = implemented
     for style, result in results.items():
         assert result.timing.ok, f"{name}/{style}: {result.timing}"
-        if result.hold is not None:
-            assert result.hold.setup_ok_after
 
 
 def test_headline_power_ordering(implemented):

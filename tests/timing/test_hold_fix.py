@@ -41,7 +41,7 @@ class TestFixHolds:
         check(mapped_shift)
         assert report.buffers_added > 0
         assert report.edges_fixed >= 4  # every FF-to-FF hop was short
-        assert report.setup_ok_after
+        assert analyze(mapped_shift, clocks).setup_ok
         assert report.area_added > 0
 
     def test_fix_actually_clears_violations(self, mapped_shift):
@@ -52,8 +52,8 @@ class TestFixHolds:
         assert again.buffers_added == 0
 
     def test_traces_register_phases_once(self, mapped_shift, monkeypatch):
-        """The setup re-check after buffering reuses the register timings
-        traced before it: D-pin buffers change no register or clock."""
+        """Hold fixing traces the register phases once and leaves setup
+        to the caller; the buffered netlist still meets it."""
         from repro.timing import sta
 
         calls = []
@@ -69,9 +69,7 @@ class TestFixHolds:
                            clock_uncertainty=120.0)
         assert report.buffers_added > 0
         assert len(calls) == 1
-        fresh = analyze(mapped_shift, clocks)
-        assert report.setup_ok_after == all(
-            v.kind not in ("setup", "divergence") for v in fresh.violations)
+        assert analyze(mapped_shift, clocks).setup_ok
 
     def test_behaviour_preserved(self, mapped_shift):
         original = mapped_shift.copy("orig")
