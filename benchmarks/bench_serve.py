@@ -6,7 +6,7 @@ distinct and duplicate submissions (the duplicate share exercises
 single-flight dedup and the warm cache path), and measures the
 submit-to-done latency of every submission.  Emits ``BENCH_serve.json``
 at the repo root: p50/p99 latency, jobs per second, and the stage-cache
-hit rate — the service-level perf trajectory CI tracks across PRs.
+hit rate, which CI uploads with its other benchmark results.
 
 Environment knobs (on top of the shared ones in ``conftest.py``):
 

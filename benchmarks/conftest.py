@@ -76,8 +76,8 @@ def cache_dir_override() -> str | None:
 
 def write_bench_json(name: str, payload: dict) -> Path:
     """Write a machine-readable perf record ``BENCH_<name>.json`` at the
-    repo root (the perf trajectory CI records into
-    ``benchmarks/history.jsonl`` via ``repro bench record``)."""
+    repo root (where ``benchmarks/check_counts.py`` reads the pinned
+    counts)."""
     from repro.bench.recorder import write_bench_json as _write
 
     path = _write(name, payload,

@@ -1,53 +1,14 @@
-"""Benchmark perf-trajectory tooling: record, diff, and gate.
+"""Shared benchmark plumbing.
 
 The benchmarks under ``benchmarks/`` write machine-readable
-``BENCH_*.json`` snapshots through one shared recorder
-(:func:`repro.bench.recorder.write_bench_json`).  Those files are
-overwritten on every run; this package gives them a durable history
-and a machine-checkable verdict:
-
-* ``repro bench record`` appends each snapshot -- flattened to numeric
-  metrics, stamped with git sha / timestamp / host fingerprint -- to
-  ``benchmarks/history.jsonl`` (:mod:`repro.bench.history`);
-* ``repro bench diff`` renders per-metric deltas between two revisions
-  (:mod:`repro.bench.compare`);
-* ``repro bench check --threshold pct`` exits non-zero on noise-aware
-  regressions: median-of-N per side, per-metric direction heuristics,
-  optional per-metric tolerance overrides, and an absolute-seconds
-  floor that keeps timer noise out of the verdict.
-
-See docs/benchmarking.md for the file format and CI wiring.
+``BENCH_*.json`` snapshots through one recorder
+(:func:`repro.bench.recorder.write_bench_json`), stamped with
+:func:`repro.bench.history.host_fingerprint`.  The deterministic counts
+in those files are pinned by ``benchmarks/check_counts.py``; see
+docs/benchmarking.md.
 """
 
-from repro.bench.compare import (
-    MetricDelta,
-    compare_entries,
-    format_deltas,
-    metric_direction,
-)
-from repro.bench.history import (
-    HISTORY_FORMAT,
-    append_entries,
-    flatten_metrics,
-    host_fingerprint,
-    load_history,
-    make_entry,
-    record_files,
-)
+from repro.bench.history import host_fingerprint
 from repro.bench.recorder import default_root, write_bench_json
 
-__all__ = [
-    "HISTORY_FORMAT",
-    "MetricDelta",
-    "append_entries",
-    "compare_entries",
-    "default_root",
-    "flatten_metrics",
-    "format_deltas",
-    "host_fingerprint",
-    "load_history",
-    "make_entry",
-    "metric_direction",
-    "record_files",
-    "write_bench_json",
-]
+__all__ = ["default_root", "host_fingerprint", "write_bench_json"]

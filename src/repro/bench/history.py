@@ -1,46 +1,9 @@
-"""Append-only benchmark history: ``benchmarks/history.jsonl``.
-
-Each line is one recorded benchmark snapshot::
-
-    {"format": "repro-bench-history-v1", "bench": "sim",
-     "sha": "b7306eb", "ts": 1754650000.0,
-     "recorded_at": "2026-08-08T10:06:40+00:00",
-     "host": {"platform": "Linux-...", "machine": "x86_64",
-              "python": "3.11.9", "cpus": 8},
-     "metrics": {"runs.0.wall_s": 0.41, "runs.0.events_per_s": 812000.0},
-     "note": null}
-
-``metrics`` is the ``BENCH_*.json`` payload flattened to its numeric
-leaves with dotted keys (list elements keyed by index, or by their
-``name``/``engine``/``design`` field when they carry one, so reordering
-a result list does not rename its metrics).  Strings and booleans are
-dropped -- the gate compares numbers only.
-
-The file is append-only and line-oriented: concurrent recorders append
-whole lines, readers skip blank/corrupt lines, and diffing two
-revisions is a grep away.
-"""
+"""The host a benchmark ran on, stamped into its ``BENCH_*.json``."""
 
 from __future__ import annotations
 
-import datetime
-import json
 import os
 import platform
-import subprocess
-import time
-from pathlib import Path
-
-#: format marker stamped into every entry.
-HISTORY_FORMAT = "repro-bench-history-v1"
-
-#: default history location, relative to the repo root.
-HISTORY_RELPATH = "benchmarks/history.jsonl"
-
-#: list-element fields that serve as stable keys during flattening,
-#: tried in order.
-_LIST_KEY_FIELDS = ("name", "engine", "delay_model", "design", "style",
-                    "stage", "mode")
 
 
 def host_fingerprint() -> dict:
@@ -53,138 +16,4 @@ def host_fingerprint() -> dict:
     }
 
 
-def current_git_sha(root: str | Path | None = None) -> str | None:
-    """The checkout's HEAD sha, or ``None`` outside a git repo."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=str(root) if root is not None else None,
-            capture_output=True, text=True, timeout=10, check=False)
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def _list_item_key(item: object, index: int) -> str:
-    if isinstance(item, dict):
-        parts = [str(item[f]) for f in _LIST_KEY_FIELDS
-                 if isinstance(item.get(f), (str, int)) and item.get(f) != ""]
-        if parts:
-            return ".".join(parts)
-    return str(index)
-
-
-def flatten_metrics(payload: object, prefix: str = "") -> dict[str, float]:
-    """Numeric leaves of a nested payload as a flat ``{dotted: float}``."""
-    flat: dict[str, float] = {}
-    if isinstance(payload, bool):
-        return flat
-    if isinstance(payload, (int, float)):
-        if prefix:
-            flat[prefix] = float(payload)
-        return flat
-    if isinstance(payload, dict):
-        for key in sorted(payload):
-            sub = f"{prefix}.{key}" if prefix else str(key)
-            flat.update(flatten_metrics(payload[key], sub))
-        return flat
-    if isinstance(payload, (list, tuple)):
-        for i, item in enumerate(payload):
-            key = _list_item_key(item, i)
-            sub = f"{prefix}.{key}" if prefix else key
-            flat.update(flatten_metrics(item, sub))
-        return flat
-    return flat  # strings / None / other leaves carry no metrics
-
-
-def bench_name_from_path(path: str | Path) -> str:
-    """``BENCH_sim.json`` -> ``sim`` (any other stem passes through)."""
-    stem = Path(path).stem
-    return stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-
-
-def make_entry(
-    bench: str,
-    payload: dict,
-    sha: str | None = None,
-    ts: float | None = None,
-    host: dict | None = None,
-    note: str | None = None,
-) -> dict:
-    """One history line for a bench payload (not yet written)."""
-    if ts is None:
-        ts = time.time()
-    recorded_at = datetime.datetime.fromtimestamp(
-        ts, tz=datetime.timezone.utc).isoformat(timespec="seconds")
-    return {
-        "format": HISTORY_FORMAT,
-        "bench": bench,
-        "sha": sha,
-        "ts": ts,
-        "recorded_at": recorded_at,
-        "host": host if host is not None else host_fingerprint(),
-        "metrics": flatten_metrics(payload),
-        "note": note,
-    }
-
-
-def append_entries(history_path: str | Path, entries: list[dict]) -> None:
-    """Append entries as JSONL, creating parent directories as needed."""
-    path = Path(history_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-
-def load_history(history_path: str | Path) -> list[dict]:
-    """All well-formed entries, in file order; blank/corrupt lines skipped."""
-    path = Path(history_path)
-    if not path.exists():
-        return []
-    entries: list[dict] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(entry, dict) and entry.get("format") == HISTORY_FORMAT:
-            entries.append(entry)
-    return entries
-
-
-def record_files(
-    files: list[str | Path],
-    history_path: str | Path,
-    sha: str | None = None,
-    ts: float | None = None,
-    note: str | None = None,
-) -> list[dict]:
-    """Record each ``BENCH_*.json`` file into the history; return entries."""
-    host = host_fingerprint()
-    entries = []
-    for file in files:
-        payload = json.loads(Path(file).read_text(encoding="utf-8"))
-        entries.append(make_entry(
-            bench_name_from_path(file), payload,
-            sha=sha, ts=ts, host=host, note=note))
-    append_entries(history_path, entries)
-    return entries
-
-
-__all__ = [
-    "HISTORY_FORMAT",
-    "HISTORY_RELPATH",
-    "append_entries",
-    "bench_name_from_path",
-    "current_git_sha",
-    "flatten_metrics",
-    "host_fingerprint",
-    "load_history",
-    "make_entry",
-    "record_files",
-]
+__all__ = ["host_fingerprint"]

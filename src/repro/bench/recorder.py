@@ -3,7 +3,7 @@
 Every benchmark under ``benchmarks/`` -- pytest-driven or standalone --
 emits its machine-readable snapshot through :func:`write_bench_json`,
 so the file naming, layout, and landing directory stay uniform and
-``repro bench record`` can sweep them all with one glob.
+``benchmarks/check_counts.py`` finds them all at the repository root.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ def write_bench_json(name: str, payload: dict, root: str | Path | None = None,
                      ) -> Path:
     """Write ``BENCH_<name>.json`` at the repo root and return its path.
 
-    ``payload`` must be JSON-serializable; nested dicts/lists are fine --
-    the history recorder flattens numeric leaves when the snapshot is
-    appended to ``benchmarks/history.jsonl``.
+    ``payload`` must be JSON-serializable; nested dicts/lists are fine.
+    The file is overwritten on every run.
     """
     base = Path(root) if root is not None else default_root()
     path = base / f"BENCH_{name}.json"

@@ -478,79 +478,17 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Record, diff, or gate the benchmark perf history.
-
-    See docs/benchmarking.md for the history format and the noise
-    model behind ``check``.
-    """
-    import glob
-    import json
-
-    from repro.bench import compare, history
-
-    if args.action == "record":
-        files = args.files or sorted(glob.glob("BENCH_*.json"))
-        if not files:
-            print("no BENCH_*.json files to record "
-                  "(run pytest benchmarks/ first)", file=sys.stderr)
-            return 1
-        sha = args.sha or history.current_git_sha() or "unknown"
-        entries = history.record_files(files, args.history, sha=sha,
-                                       note=args.note)
-        metrics = sum(len(e["metrics"]) for e in entries)
-        print(f"recorded {len(entries)} bench(es), {metrics} metrics "
-              f"@ {sha[:12]} -> {args.history}")
-        return 0
-
-    # diff / check share the baseline-selection logic
-    current = history.load_history(args.history)
-    if not current:
-        print(f"no usable history at {args.history}", file=sys.stderr)
-        return 2
-    try:
-        if args.baseline_history:
-            baseline = history.load_history(args.baseline_history)
-            if not baseline:
-                print(f"no usable baseline history at "
-                      f"{args.baseline_history}", file=sys.stderr)
-                return 2
-        else:
-            baseline, current = compare.split_by_sha(
-                current, baseline_sha=args.baseline_sha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    tolerances = None
-    if getattr(args, "tolerances", None):
-        with open(args.tolerances, encoding="utf-8") as fh:
-            tolerances = json.load(fh)
-    deltas = compare.compare_entries(
-        baseline, current,
-        threshold_pct=args.threshold,
-        tolerances=tolerances,
-        runs=args.runs,
-        min_abs_s=args.min_abs_s,
-    )
-    print(compare.format_deltas(deltas, gated_only=args.gated_only),
-          end="")
-    if args.action == "check":
-        regressions = [d for d in deltas if d.regressed]
-        if regressions:
-            _progress(f"bench check: {len(regressions)} regression(s) "
-                      f"past --threshold {args.threshold:g}%")
-            return 1
-        _progress("bench check: ok")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or maintain a persistent on-disk artifact cache."""
     import json
 
     from repro.flow.diskcache import DiskCache
 
+    # DiskCache creates its root, which a run wants; inspecting a
+    # mistyped path must not turn it into an empty cache
+    if not os.path.isdir(args.dir):
+        _progress(f"error: no such cache directory: {args.dir}")
+        return 2
     cache = DiskCache(args.dir)
     if args.action == "stats":
         stats = cache.stats()
@@ -751,61 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (json emits the same summary "
                             "the text view renders)")
     trace.set_defaults(func=_cmd_trace)
-
-    bench = sub.add_parser(
-        "bench",
-        help="record benchmark snapshots into a history and gate on "
-             "regressions (see docs/benchmarking.md)")
-    bench_sub = bench.add_subparsers(dest="action", required=True)
-    b_record = bench_sub.add_parser(
-        "record", help="append BENCH_*.json snapshots to the history")
-    b_record.add_argument("files", nargs="*", metavar="FILE",
-                          help="BENCH_*.json files (default: glob the "
-                               "current directory)")
-    b_record.add_argument("--history", default="benchmarks/history.jsonl",
-                          metavar="FILE",
-                          help="history file to append to "
-                               "(default benchmarks/history.jsonl)")
-    b_record.add_argument("--sha", default=None,
-                          help="revision to stamp (default: git HEAD)")
-    b_record.add_argument("--note", default=None,
-                          help="free-form note stored with the entries")
-    for action, help_text in (
-        ("diff", "render per-metric deltas between two revisions"),
-        ("check", "exit non-zero on noise-aware regressions"),
-    ):
-        p = bench_sub.add_parser(action, help=help_text)
-        p.add_argument("--history", default="benchmarks/history.jsonl",
-                       metavar="FILE",
-                       help="history holding the current revision's runs")
-        p.add_argument("--baseline-history", default=None, metavar="FILE",
-                       dest="baseline_history",
-                       help="separate history file supplying the baseline "
-                            "side (e.g. a committed seed baseline)")
-        p.add_argument("--baseline-sha", default=None, dest="baseline_sha",
-                       help="baseline revision within --history "
-                            "(prefix match; default: the distinct sha "
-                            "recorded before the newest one)")
-        p.add_argument("--threshold", type=_non_negative("--threshold"),
-                       default=5.0, metavar="PCT",
-                       help="gate when a metric moves the wrong way by "
-                            "more than PCT percent (default 5)")
-        p.add_argument("--tolerances", default=None, metavar="FILE",
-                       help="JSON file of per-metric overrides: "
-                            '{"bench.metric.glob": pct, ...}')
-        p.add_argument("--runs", type=_positive_int("--runs"), default=3,
-                       metavar="N",
-                       help="median over the last N entries per side "
-                            "(default 3)")
-        p.add_argument("--min-abs-s", type=_non_negative("--min-abs-s"),
-                       default=0.0, metavar="S",
-                       dest="min_abs_s",
-                       help="ignore seconds-metric regressions smaller "
-                            "than S seconds absolute (timer-noise floor)")
-        p.add_argument("--gated-only", action="store_true", dest="gated_only",
-                       help="hide informational (direction-less) metrics")
-        p.set_defaults(func=_cmd_bench)
-    b_record.set_defaults(func=_cmd_bench)
 
     cache = sub.add_parser(
         "cache", help="inspect or maintain an on-disk artifact cache")

@@ -10,10 +10,8 @@ from repro.timing.graph import (
     extract_timing_graph,
 )
 from repro.timing.smo import (
-    EdgeCheck,
     RegisterTiming,
     capture_gap,
-    check_edge,
     forward_shift,
     register_timing_for,
 )
@@ -36,10 +34,8 @@ __all__ = [
     "SeqEdge",
     "TimingGraph",
     "extract_timing_graph",
-    "EdgeCheck",
     "RegisterTiming",
     "capture_gap",
-    "check_edge",
     "forward_shift",
     "register_timing_for",
     "TimingReport",

@@ -10,10 +10,9 @@ phases within a common cycle ``Tc`` and relates latches through the
 which is the time from phase i's closing edge to the next closing edge of
 phase j -- the time budget a token launched at i's close has to reach j.
 
-This module provides the phase algebra plus the General System Timing
-Constraint (GSTC) checks for a single latch-to-latch edge; the iterative
-whole-design analysis (with time borrowing) lives in
-:mod:`repro.timing.sta`.
+This module provides the phase algebra; the General System Timing
+Constraint (GSTC) checks of every edge, with time borrowing, live in the
+iterative whole-design analysis of :mod:`repro.timing.sta`.
 
 Registers are unified as :class:`RegisterTiming`: an edge-triggered FF is a
 "latch" whose capture is its rising edge with zero transparency width, so
@@ -116,46 +115,3 @@ def capture_gap(period: float, opening_i: float, capture_j: float) -> float:
     while gap < 0:
         gap += period
     return gap % period
-
-
-@dataclass(frozen=True)
-class EdgeCheck:
-    """GSTC result for a single latch-to-latch edge."""
-
-    src: str
-    dst: str
-    setup_slack: float
-    hold_slack: float
-    borrowed: float
-
-    @property
-    def ok(self) -> bool:
-        return self.setup_slack >= -1e-9 and self.hold_slack >= -1e-9
-
-
-def check_edge(
-    period: float,
-    src: RegisterTiming,
-    dst: RegisterTiming,
-    min_delay: float,
-    max_delay: float,
-    departure: float | None = None,
-) -> EdgeCheck:
-    """Worst-case GSTC setup/hold for one edge.
-
-    ``departure`` is the launch time relative to ``src.capture`` (<= 0;
-    negative when the upstream path delivered data early, i.e. time
-    borrowing).  Defaults to the pessimistic 0 (data departs at the closing
-    edge), which is the no-borrowing SMO worst case of Eq. (2).
-    """
-    depart = 0.0 if departure is None else departure
-    shift = forward_shift(period, src.capture, dst.capture)
-    arrival = depart + max_delay  # relative to src.capture
-    setup_slack = shift - dst.setup - arrival
-    # Time borrowing: how far the arrival eats into dst's transparency
-    # window (arrival after dst's opening edge at shift - width).
-    borrowed = max(0.0, arrival - (shift - dst.width))
-
-    gap = capture_gap(period, src.opening, dst.capture)
-    hold_slack = min_delay + gap - dst.hold
-    return EdgeCheck(src.name, dst.name, setup_slack, hold_slack, borrowed)

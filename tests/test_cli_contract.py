@@ -120,9 +120,8 @@ def test_bad_cycles_exit_two_before_the_flow(cycles, message, capsys):
     (["trace", "trace.json", "--top", "0"], "argument --top: must be"),
     (["serve", "--workers", "0"], "argument --workers: must be"),
     (["serve", "--queue-depth", "0"], "argument --queue-depth: must be"),
-    (["bench", "check", "--runs", "0"], "argument --runs: must be"),
 ], ids=["jobs-0", "jobs-text", "sim-lanes", "fig4-cycles",
-        "conflict-budget", "top", "workers", "queue-depth", "runs"])
+        "conflict-budget", "top", "workers", "queue-depth"])
 def test_bad_count_exits_two_in_one_line(argv, message, capsys):
     """A count flag that is not a positive integer is one ``error:``
     line and exit 2 -- not argparse's usage block."""
@@ -144,12 +143,8 @@ def test_bad_count_exits_two_in_one_line(argv, message, capsys):
      "argument --period: invalid float value: 'x'"),
     (["cache", "stats", "--dir", "d", "--max-age-hours", "-1"],
      "argument --max-age-hours: must"),
-    (["bench", "check", "--threshold", "abc"],
-     "argument --threshold: invalid float value: 'abc'"),
-    (["bench", "diff", "--min-abs-s", "inf"], "argument --min-abs-s: must"),
 ], ids=["port-text", "port-negative", "port-too-large", "drain-timeout-nan",
-        "period-inf", "period-text", "max-age-negative", "threshold-text",
-        "min-abs-s"])
+        "period-inf", "period-text", "max-age-negative"])
 def test_bad_number_exits_two_in_one_line(argv, message, capsys):
     """A plain number flag that does not parse, or is non-finite,
     negative or out of range, is one ``error:`` line and exit 2 too."""
@@ -157,6 +152,18 @@ def test_bad_number_exits_two_in_one_line(argv, message, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("action", ["stats", "gc", "clear"])
+def test_cache_missing_dir_exits_two(action, tmp_path, capsys):
+    """Inspecting a cache directory that does not exist is one
+    ``error:`` line and exit 2; it must not create the directory and
+    report it as an empty cache."""
+    missing = tmp_path / "no-such-cache"
+    assert main(["cache", action, "--dir", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: no such cache directory: {missing}\n"
+    assert not missing.exists()
 
 
 _BAD_CONVERT_INPUTS = {
@@ -204,22 +211,26 @@ class TestContractIsDocumented:
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--metrics-out", "/nonexistent/x.prom"],
-     "argument --metrics-out: no such directory: /nonexistent"),
-    (["--obs-jsonl", "/nonexistent/x.jsonl"],
-     "argument --obs-jsonl: no such directory: /nonexistent"),
-    (["--trace", "/nonexistent/x.json"],
-     "argument --trace: no such directory: /nonexistent"),
+    (["--metrics-out", "{missing}/x.prom"],
+     "argument --metrics-out: no such directory: {missing}"),
+    (["--obs-jsonl", "{missing}/x.jsonl"],
+     "argument --obs-jsonl: no such directory: {missing}"),
+    (["--trace", "{missing}/x.json"],
+     "argument --trace: no such directory: {missing}"),
     (["--metrics-out", "."], "argument --metrics-out: . is a directory"),
     (["--monitor-interval", "0"], "argument --monitor-interval: must be"),
     (["--monitor-interval", "-1"], "argument --monitor-interval: must be"),
 ], ids=["metrics-out", "obs-jsonl", "trace", "metrics-out-dir",
         "interval-0", "interval-neg"])
 def test_bad_observability_flag_exits_two_before_the_flow(
-        argv, message, capsys, monkeypatch):
+        argv, message, capsys, monkeypatch, tmp_path):
     """An unwritable export path or a non-positive sampling interval is
     one ``error:`` line and exit 2 at argument time, before any flow
     work (which would otherwise run to the end and then fail)."""
+    missing = tmp_path / "missing"  # a directory that is never made
+    argv = [arg.format(missing=missing) for arg in argv]
+    message = message.format(missing=missing)
+
     def no_flow(*_args, **_kwargs):
         raise AssertionError("the flow started")
 

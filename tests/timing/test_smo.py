@@ -1,4 +1,4 @@
-"""SMO model tests: phase shifts, GSTC edge checks."""
+"""SMO model tests: phase shifts, capture gaps, register windows."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.convert.clocks import ClockSpec
 from repro.timing.smo import (
     RegisterTiming,
     capture_gap,
-    check_edge,
     forward_shift,
     register_timing_for,
 )
@@ -63,47 +62,3 @@ class TestRegisterTiming:
         clocks = ClockSpec.single(1000.0)
         with pytest.raises(ValueError):
             register_timing_for("g", "AND", "clk", clocks)
-
-
-class TestEdgeCheck:
-    def _pair(self):
-        clocks = ClockSpec.default_three_phase(1000.0)
-        src = register_timing_for("a", "DLATCH", "p1", clocks)
-        dst = register_timing_for("b", "DLATCH", "p3", clocks, setup=30.0,
-                                  hold=8.0)
-        return src, dst
-
-    def test_setup_met_without_borrowing(self):
-        src, dst = self._pair()
-        check = check_edge(1000.0, src, dst, min_delay=100.0, max_delay=500.0)
-        assert check.ok
-        assert check.borrowed == 0.0
-        # E(p1->p3) = 750; slack = 750 - 30 - 500
-        assert check.setup_slack == pytest.approx(220.0)
-
-    def test_borrowing_counted(self):
-        src, dst = self._pair()
-        check = check_edge(1000.0, src, dst, min_delay=100.0, max_delay=600.0)
-        assert check.ok  # borrows into p3's [500..750) relative window
-        assert check.borrowed == pytest.approx(100.0)
-
-    def test_setup_violation(self):
-        src, dst = self._pair()
-        check = check_edge(1000.0, src, dst, min_delay=100.0, max_delay=760.0)
-        assert not check.ok
-        assert check.setup_slack < 0
-
-    def test_early_departure_helps(self):
-        src, dst = self._pair()
-        late = check_edge(1000.0, src, dst, 100.0, 760.0)
-        early = check_edge(1000.0, src, dst, 100.0, 760.0, departure=-250.0)
-        assert not late.ok
-        assert early.setup_slack > late.setup_slack
-
-    def test_hold_violation_on_zero_gap(self):
-        src, dst = self._pair()
-        # p1 opens at 0; p3's previous close is at 0: gap 0, so a min
-        # delay below the hold time fails.
-        check = check_edge(1000.0, src, dst, min_delay=2.0, max_delay=500.0)
-        assert check.hold_slack == pytest.approx(2.0 - 8.0)
-        assert not check.ok

@@ -60,6 +60,36 @@ def ring_graph(delays: list[float]) -> TimingGraph:
                for i, d in enumerate(delays)])
 
 
+#: At 1000 ps the p1 latch r0 is open over [0, 250] and the p3 latch r1
+#: over [750, 1000], so E(r0 -> r1) = 750 ps and r1's previous close
+#: meets r0's opening (hold gap 0); setup 1, hold 0.5.  Without fanin r0
+#: departs at its opening; a 999 ps primary-input edge makes it depart
+#: late, at its -setup.
+@pytest.mark.parametrize(
+    "pi_delay,min_delay,max_delay,setup,borrowed,hold,kinds", [
+        (None, 100.0, 500.0, 499.0, 0.0, 99.5, []),
+        (None, 100.0, 850.0, 149.0, 100.0, 99.5, []),
+        (None, 100.0, 1010.0, -11.0, 260.0, 99.5, ["setup"]),
+        (None, 100.0, 760.0, 239.0, 10.0, 99.5, []),
+        (999.0, 100.0, 760.0, -10.0, 259.0, 99.5, ["setup"]),
+        (None, 0.2, 500.0, 499.0, 0.0, -0.3, ["hold"]),
+    ], ids=["met", "borrows", "misses-setup", "early-departure",
+            "late-departure", "hold-zero-gap"])
+def test_latch_pair_edge_arithmetic(pi_delay, min_delay, max_delay, setup,
+                                    borrowed, hold, kinds):
+    module = ring("DLATCH", ("p1", "p3"))
+    edges = [SeqEdge("r0", "r1", min_delay, max_delay)]
+    if pi_delay is not None:
+        edges.append(SeqEdge(PI_SOURCE, "r0", pi_delay, pi_delay))
+    report = analyze(module, ClockSpec.default_three_phase(1000.0),
+                     graph=TimingGraph(registers=["r0", "r1"], edges=edges))
+    assert report.worst_setup_slack == setup
+    assert report.max_borrowed == borrowed
+    assert report.worst_hold_slack == pytest.approx(hold)
+    assert [v.kind for v in report.violations] == kinds
+    assert all((v.src, v.dst) == ("r0", "r1") for v in report.violations)
+
+
 class TestClampedDeparture:
     def test_ff_ring_with_one_slow_edge_has_one_violation(self):
         # r1 -> r2 takes 1.5 periods.  Unclamped, r2 would launch 500 ps
