@@ -142,12 +142,14 @@ def run_flow(
     options: FlowOptions | None = None,
     cache: ArtifactCache | None = None,
     parent_span: int | None = None,
+    design_digest: str | None = None,
 ) -> DesignResult:
     """Implement ``design`` per ``options`` and measure area/power/timing.
 
     Builds the style's stage chain, runs it (against ``cache`` if given,
     so repeated runs share e.g. the synthesis artifact), and packs the
-    context into a :class:`DesignResult`.
+    context into a :class:`DesignResult`.  ``design_digest`` is
+    ``module_digest(design)`` if the caller has it; else it is computed.
     """
     if options is None:
         options = FlowOptions()
@@ -155,7 +157,8 @@ def run_flow(
         raise ValueError(f"unknown style {options.style!r}")
 
     ctx = build_pipeline(options.style).run(
-        design, options, cache=cache, parent_span=parent_span)
+        design, options, cache=cache, parent_span=parent_span,
+        design_digest=design_digest)
 
     module = ctx.module
     physical = ctx.artifacts["physical"]

@@ -60,10 +60,19 @@ class FlowTask:
 
     design: Module
     options: FlowOptions
+    #: ``module_digest(design)``, if known; the scheduler digests each
+    #: design once per batch rather than once per style.
+    design_digest: str | None = None
 
     @property
     def label(self) -> str:
         return f"{self.design.name}/{self.options.style}"
+
+    def run(self, cache: ArtifactCache | None,
+            parent_span: int | None = None) -> DesignResult:
+        return run_flow(self.design, self.options, cache=cache,
+                        parent_span=parent_span,
+                        design_digest=self.design_digest)
 
 
 def _validate_jobs(jobs: object) -> None:
@@ -133,10 +142,7 @@ class SerialExecutor(FlowExecutor):
     name = "serial"
 
     def map(self, tasks, cache=None, parent_span=None):
-        return [
-            run_flow(t.design, t.options, cache=cache, parent_span=parent_span)
-            for t in tasks
-        ]
+        return [t.run(cache, parent_span) for t in tasks]
 
 
 class ThreadExecutor(FlowExecutor):
@@ -158,11 +164,9 @@ class ThreadExecutor(FlowExecutor):
 
         def run(task: FlowTask) -> DesignResult:
             if tracer is None:
-                return run_flow(task.design, task.options, cache=cache,
-                                parent_span=parent_span)
+                return task.run(cache, parent_span)
             with obs.scoped(tracer):
-                return run_flow(task.design, task.options, cache=cache,
-                                parent_span=parent_span)
+                return task.run(cache, parent_span)
 
         with ThreadPoolExecutor(
                 max_workers=min(self.jobs, len(tasks))) as pool:
@@ -199,17 +203,17 @@ def _run_task_in_worker(payload: tuple) -> tuple:
     monitor, the worker's own resource samples -- back for merging into
     the parent trace.
     """
-    design, options, cache_dir, traced, monitor_interval = payload
+    task, cache_dir, traced, monitor_interval = payload
     cache = _worker_cache(cache_dir)
     if not traced:
-        return run_flow(design, options, cache=cache), None
+        return task.run(cache), None
     tracer = obs.Tracer()
     with obs.use_tracer(tracer):
         if monitor_interval is not None:
             with obs.monitored(tracer, interval_s=monitor_interval):
-                result = run_flow(design, options, cache=cache)
+                result = task.run(cache)
         else:
-            result = run_flow(design, options, cache=cache)
+            result = task.run(cache)
     return result, obs.tracer_state(tracer)
 
 
@@ -255,8 +259,7 @@ class ProcessExecutor(FlowExecutor):
         futures = [
             pool.submit(
                 _run_task_in_worker,
-                (t.design, t.options, self.cache_dir, tracer is not None,
-                 monitor_interval))
+                (t, self.cache_dir, tracer is not None, monitor_interval))
             for t in tasks
         ]
         results: list[DesignResult] = []

@@ -32,6 +32,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro import obs
+from repro.flow import pipeline
 from repro.flow.design_flow import DesignResult, FlowOptions
 from repro.flow.executor import FlowTask, make_executor
 from repro.flow.pipeline import ArtifactCache
@@ -127,10 +128,12 @@ class JobScheduler:
         The batch executes under a ``span_name`` span (``flow.compare``
         / ``flow.suite`` for the historical front-ends) whose id is
         passed down so worker spans stay nested under it, exactly as
-        the pre-extraction code did.
+        the pre-extraction code did.  Each design is digested once
+        here, however many styles of it the batch runs.
         """
         with obs.span(span_name, jobs=self.jobs,
                       executor=self._executor.name, **attrs):
+            tasks = _with_design_digests(tasks)
             parent = obs.current_span_id()
             with self._lock:
                 self._inflight += len(tasks)
@@ -178,3 +181,18 @@ class JobScheduler:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close(cancel_pending=exc_type is not None)
         return False
+
+
+def _with_design_digests(tasks: list[FlowTask]) -> list[FlowTask]:
+    """``tasks``, each carrying its design's digest, computed once per
+    design object."""
+    digests: dict[int, str] = {}
+    out = []
+    for task in tasks:
+        if task.design_digest is None:
+            key = id(task.design)
+            if key not in digests:
+                digests[key] = pipeline.module_digest(task.design)
+            task = replace(task, design_digest=digests[key])
+        out.append(task)
+    return out

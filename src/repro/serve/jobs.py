@@ -287,6 +287,9 @@ class JobManager:
         m.declare("cache.released", "counter",
                   "artifact-cache lookups that found their netlist freed "
                   "(each then a disk hit or a re-run)")
+        m.declare("cache.netlist_loads", "counter",
+                  "disk-cached netlists unpickled (the FF reference, and "
+                  "those a stage ran on or a flow returned)")
         observe_stages(m)
 
     def identity(self) -> dict:
@@ -403,8 +406,8 @@ class JobManager:
                     monitor.stop()
             job.finish(dict(zip(job.styles, results)))
             observe_stages(self.metrics, tracer.spans)
-            self.metrics.add("cache.released",
-                             tracer.metrics.value("cache.released"))
+            for counter in ("cache.released", "cache.netlist_loads"):
+                self.metrics.add(counter, tracer.metrics.value(counter))
             for result in results:
                 for record in result.stages:
                     if record.cache_hit:

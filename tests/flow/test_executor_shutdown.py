@@ -35,7 +35,8 @@ class TestThreadCancellation:
         started = []
         parked = threading.Event()
 
-        def fake_run_flow(design, options, cache=None, parent_span=None):
+        def fake_run_flow(design, options, cache=None, parent_span=None,
+                          design_digest=None):
             started.append(options.seed)
             if options.seed == 0:
                 raise KeyboardInterrupt
@@ -56,7 +57,8 @@ class TestThreadCancellation:
         module = build("s1488")
         calls = []
 
-        def fake_run_flow(design, options, cache=None, parent_span=None):
+        def fake_run_flow(design, options, cache=None, parent_span=None,
+                          design_digest=None):
             calls.append(options.seed)
             if len(calls) == 1:
                 raise RuntimeError("flow blew up")

@@ -252,3 +252,26 @@ class TestEndToEnd:
             assert released == scheduler.cache.released() > 0
             assert f"repro_cache_released_total {int(released)}" in \
                 render(manager.metrics)
+
+    def test_a_rerun_job_unpickles_only_its_final_netlists(self, tmp_path):
+        """A resubmitted job finds its netlists freed and served pickled
+        by the disk tier: it unpickles one final netlist per style, and
+        the daemon sums that into ``repro_cache_netlist_loads_total``."""
+        from repro.obs.promexpo import render
+
+        with JobScheduler(jobs=1, cache_dir=str(tmp_path)) as scheduler:
+            manager = JobManager(scheduler, workers=1, queue_depth=8)
+            overrides = {"sim_cycles": CYCLES}
+            first, _ = manager.submit("s1488", overrides=overrides)
+            _wait(lambda: first.state == DONE)
+            assert manager.metrics.value("cache.netlist_loads") == 0
+            second, _ = manager.submit("s1488", overrides=overrides)
+            assert manager.drain()
+            manager.close()
+            assert second.state == DONE and second.cache_misses == 0
+            for style, row in second.rows.items():
+                assert row["power"] == first.rows[style]["power"]
+                assert row["area"] == first.rows[style]["area"]
+            assert manager.metrics.value("cache.netlist_loads") == 3
+            assert "repro_cache_netlist_loads_total 3" in \
+                render(manager.metrics)
