@@ -3,7 +3,8 @@
 Every payload a ``compare_styles`` run writes through to the disk tier is
 re-pickled through a :class:`pickle.Pickler` whose ``persistent_id``
 sees every object on the way, so the checks below look at exactly what
-the disk tier holds:
+the disk tier holds (a netlist deferred as a :class:`PickledNetlist`
+counts as the one netlist it holds):
 
 * no simulator, compiled kernel or testbench result is ever stored: the
   ``sim`` stage hands ``power`` its per-net toggle counts, nothing more;
@@ -26,6 +27,7 @@ from repro import obs, sim
 from repro.circuits import build
 from repro.circuits.registry import spec
 from repro.flow import ArtifactCache, DiskCache, FlowOptions, compare_styles
+from repro.flow.pipeline import PickledNetlist
 from repro.netlist.core import Module
 from repro.obs.tracer import Tracer
 from repro.sim import (
@@ -47,12 +49,12 @@ class _Inspector(pickle.Pickler):
     def __init__(self) -> None:
         super().__init__(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
         self.flagged: list[str] = []
-        self.modules: list[Module] = []
+        self.modules: list[Module | PickledNetlist] = []
 
     def persistent_id(self, obj):
         if isinstance(obj, FLAGGED):
             self.flagged.append(type(obj).__name__)
-        elif isinstance(obj, Module):
+        elif isinstance(obj, (Module, PickledNetlist)):
             self.modules.append(obj)
         return None
 
