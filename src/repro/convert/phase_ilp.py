@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 
 from repro import obs
-from repro.ilp import IlpModel, Sense, SolveStatus, scipy_backend
+from repro.ilp import IlpModel, Sense, SolveStatus
 from repro.ilp.mis import max_independent_set
 from repro.netlist.core import Module
 from repro.netlist.traversal import FFGraph, ff_fanout_map
@@ -147,6 +147,9 @@ def solve_greedy(graph: FFGraph) -> PhaseAssignment:
 
 def solve_ilp(graph: FFGraph, time_limit: float = 120.0) -> PhaseAssignment:
     """Solve the paper's ILP directly with HiGHS (the reference solver)."""
+    # imported here so that numpy and scipy load only when HiGHS runs
+    from repro.ilp import scipy_backend
+
     with obs.span("ilp.build", backend="scipy") as sp:
         model, g_var, k_var = build_model(graph)
         sp.set(variables=model.num_vars, constraints=len(model.constraints))

@@ -38,14 +38,15 @@ constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linprog
+from typing import TYPE_CHECKING
 
 from repro.convert.clocks import ClockSpec, Phase
 from repro.netlist.core import Module
 from repro.netlist.traversal import register_phases
 from repro.timing.graph import PI_SOURCE, PO_SINK, TimingGraph, extract_timing_graph
+
+if TYPE_CHECKING:  # pragma: no cover - numpy loads only when an LP runs
+    import numpy as np
 
 #: dataflow-cyclic order of the three phases: the wrap point sits between
 #: p3 and p1 (p3 closes at the period boundary in the default schedule).
@@ -81,6 +82,10 @@ def _feasible_at(
     Variable layout: [e1, e2, e3, o1, o2, o3, d_0..d_{n-1}].
     Returns the solution vector or None.
     """
+    # imported here so that numpy and scipy load only when the LP runs
+    import numpy as np
+    from scipy.optimize import linprog
+
     # PI/PO join as pseudo-registers: PIs behave like p1 latches with no
     # transparency (departure 0); POs capture at the cycle boundary, i.e.
     # exactly phase p3's pinned closing edge.
